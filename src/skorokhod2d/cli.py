@@ -40,16 +40,29 @@ _PKG_ERRORS = (
     StepInfeasibleError,
     OSError,
     json.JSONDecodeError,
-    KeyError,
-    ValueError,
-    ZeroDivisionError,
+    UnicodeDecodeError,
 )
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a number: {text!r} ({exc})") from None
 
 
 def _parse_number(text: str, exact: bool):
     if exact:
-        return Dyadic.from_fraction(Fraction(text))
-    return float(Fraction(text))
+        return Dyadic.from_fraction(_fraction(text))
+    return float(_fraction(text))
+
+
+def _parse_a1(text: str):
+    """Exact when a1 is dyadic; the construction itself falls back to float."""
+    try:
+        return _parse_number(text, exact=True)
+    except ExactnessError:
+        return _parse_number(text, exact=False)
 
 
 def _parse_matrix(text: str, exact: bool) -> ReflectionMatrix2:
@@ -62,7 +75,7 @@ def _parse_matrix(text: str, exact: bool) -> ReflectionMatrix2:
 
 
 def _parse_tol(text: str):
-    fr = Fraction(text)
+    fr = _fraction(text)
     return 0 if fr == 0 else float(fr)
 
 
@@ -98,6 +111,8 @@ def _cmd_classify(args) -> int:
 def _cmd_solve(args) -> int:
     R = _parse_matrix(args.matrix, exact=False)
     f = serialize.path_from_json(json.loads(Path(args.f).read_text()))
+    if args.grid_steps < 0:
+        raise UsageError("--grid-steps must be >= 0")
     grid = None
     if args.grid_steps:
         t0, t1 = float(f.start_time), float(f.end_time)
@@ -121,12 +136,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    a1 = _parse_number(args.a1, exact=False)
-    try:
-        a1 = Dyadic.from_fraction(Fraction(args.a1))
-    except ExactnessError:
-        pass
-    bundle = build_counterexample(a1, args.depth)
+    bundle = build_counterexample(_parse_a1(args.a1), args.depth)
     doc = {
         "a1": float(bundle.R.a1),
         "depth": bundle.depth,
@@ -181,12 +191,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    a1 = _parse_number(args.a1, exact=False)
-    try:
-        a1 = Dyadic.from_fraction(Fraction(args.a1))
-    except ExactnessError:
-        pass
-    bundle = build_counterexample(a1, args.depth)
+    bundle = build_counterexample(_parse_a1(args.a1), args.depth)
     svg = emit_figure(
         bundle, size=args.size, coord_range=args.range, min_time=args.min_time
     )

@@ -33,7 +33,6 @@ from .paths import (
     path_min,
     path_sub,
     plus_part,
-    refine,
     sup_distance,
 )
 from .verifier import SolutionTriple

@@ -8,6 +8,7 @@ breakpoints marked. Output is byte-stable for fixed inputs and options.
 from __future__ import annotations
 
 from .counterexample import CounterexampleBundle
+from .errors import UsageError
 
 
 def _fmt(x: float) -> str:
@@ -26,6 +27,8 @@ def emit_figure(
         for t, v in zip(bundle.u.times, bundle.u.values)
         if min_time is None or float(t) >= min_time
     ]
+    if not pts or (coord_range is not None and not coord_range > 0):
+        raise UsageError("figure needs a breakpoint at or after min_time and range > 0")
     a1 = float(bundle.R.a1)
     if coord_range is None:
         coord_range = 1.25 * max(max(abs(x), abs(y)) for x, y in pts)

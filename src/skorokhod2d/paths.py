@@ -4,12 +4,20 @@ Paths are immutable: a strictly increasing time grid plus one plane point per
 grid time, linearly interpolated in between. Every path is either in exact
 mode (all scalars Dyadic, no operation ever rounds) or float mode (IEEE
 doubles). The two modes never mix inside one path or one binary operation.
+
+Every grid decision goes through `merge_times` and its one breakpoint rule:
+each time of the base grid is kept, and another time joins unless it is the
+same breakpoint as a kept time: equal in exact mode, within
+FLOAT_DEDUP * max(|s|, |t|) in float mode. No absolute floor, so the spiral's
+breakpoints 2^-n stay distinct at any depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .dyadic import Dyadic, to_dyadic
 from .errors import DomainError, UsageError
@@ -124,68 +132,88 @@ def _interp(t0, t1, v0, v1, t, mode: str) -> Vec2:
 # --- grid refinement -------------------------------------------------------
 
 
-def _merge_times(a: Sequence, b: Sequence, mode: str) -> list:
-    merged: list = []
-    i = j = 0
-    while i < len(a) or j < len(b):
-        if j >= len(b):
-            t = a[i]
-            i += 1
-        elif i >= len(a):
-            t = b[j]
-            j += 1
-        elif a[i] < b[j]:
-            t = a[i]
-            i += 1
-        elif b[j] < a[i]:
-            t = b[j]
-            j += 1
-        else:
-            t = a[i]
-            i += 1
-            j += 1
-        if merged and _times_equal(merged[-1], t, mode):
-            continue
-        merged.append(t)
-    return merged
+def merge_times(base: Sequence, *extras: Sequence, mode: str) -> list:
+    """Union of ascending time grids under the breakpoint rule.
+
+    Every time of the nonempty `base` is kept. Each time of an extra grid
+    joins unless it is the same breakpoint as a time already kept; extras
+    are folded in order.
+    """
+    _check_mode(mode)
+    merged = np.asarray(base, dtype=float) if mode == FLOAT else list(base)
+    for extra in extras:
+        merged = (_merge_float if mode == FLOAT else _merge_exact)(merged, extra)
+    return merged.tolist() if mode == FLOAT else merged
 
 
-def _times_equal(s, t, mode: str) -> bool:
+def _merge_exact(base: list, extra: Sequence) -> list:
+    # one linear walk on equality: Dyadic times are never sorted or hashed
+    out: list = []
+    i, n = 0, len(base)
+    for t in extra:
+        while i < n and base[i] <= t:
+            out.append(base[i])
+            i += 1
+        if not (out and out[-1] == t):
+            out.append(t)
+    out.extend(base[i:])
+    return out
+
+
+def _merge_float(b: np.ndarray, extra: Sequence) -> np.ndarray:
+    e = np.asarray(extra, dtype=float)
+    i = np.searchsorted(b, e)  # b[i - 1] < e <= b[i]
+    below, above = b[np.maximum(i - 1, 0)], b[np.minimum(i, len(b) - 1)]
+    e = e[~(_times_equal(below, e, FLOAT) | _times_equal(above, e, FLOAT))]
+    if np.any(_times_equal(e[:-1], e[1:], FLOAT)):
+        kept: list = []
+        for t in e.tolist():  # of extras that are one breakpoint, the first wins
+            if not (kept and _times_equal(kept[-1], t, FLOAT)):
+                kept.append(t)
+        e = np.asarray(kept)
+    return np.sort(np.concatenate([b, e]))
+
+
+def _times_equal(s, t, mode: str):
+    """The breakpoint rule's equality; elementwise on float arrays."""
     if mode == EXACT:
         return s == t
-    return abs(t - s) <= FLOAT_DEDUP * max(1.0, abs(s), abs(t))
+    return abs(t - s) <= FLOAT_DEDUP * np.maximum(abs(s), abs(t))
 
 
 def with_times(path: PLPath2, new_times: Sequence) -> PLPath2:
-    """Re-grid a path onto a superset of breakpoint times; values unchanged."""
-    values = []
-    orig = dict()
-    if path.mode == EXACT:
-        orig = {t: v for t, v in zip(path.times, path.values)}
-    lo, hi = path.start_time, path.end_time
+    """Re-grid a path onto an ascending superset of its breakpoint times."""
+    times, vals, mode = path.times, path.values, path.mode
+    out, i = [], 0
     for t in new_times:
-        if path.mode == EXACT and t in orig:
-            values.append(orig[t])
+        if mode == FLOAT:
+            t = min(max(t, times[0]), times[-1])  # a merged end may sit just outside
+        elif not times[0] <= t <= times[-1]:
+            raise DomainError(f"t={t} outside [{times[0]}, {times[-1]}]")
+        while times[i] < t:  # one walk: times are never hashed or bisected
+            i += 1
+        if times[i] == t:
+            out.append(vals[i])
         else:
-            if path.mode == FLOAT:
-                t = min(max(t, lo), hi)  # dedup slack can push just past the ends
-            values.append(path.eval(t))
-    return PLPath2(tuple(new_times), tuple(values), path.mode)
+            out.append(_interp(times[i - 1], times[i], vals[i - 1], vals[i], t, mode))
+    return PLPath2(tuple(new_times), tuple(out), mode)
 
 
-def refine(p: PLPath2, q: PLPath2) -> tuple[PLPath2, PLPath2]:
-    """Put two paths on the union of their breakpoint grids."""
-    _require_compatible(p, q)
-    merged = _merge_times(p.times, q.times, p.mode)
-    return with_times(p, merged), with_times(q, merged)
+def refine(*paths: PLPath2) -> tuple[PLPath2, ...]:
+    """Put paths sharing mode, start and end on the `merge_times` union of
+    their grids; every breakpoint of the first path is kept."""
+    first = paths[0]
+    for q in paths[1:]:
+        _require_compatible(first, q)
+    grid = merge_times(first.times, *(q.times for q in paths[1:]), mode=first.mode)
+    return tuple(with_times(p, grid) for p in paths)
 
 
 def _require_compatible(p: PLPath2, q: PLPath2) -> None:
     if p.mode != q.mode:
         raise UsageError(f"mode mismatch: {p.mode} vs {q.mode}")
-    if not _times_equal(p.start_time, q.start_time, p.mode) or not _times_equal(
-        p.end_time, q.end_time, p.mode
-    ):
+    ends = ((p.start_time, q.start_time), (p.end_time, q.end_time))
+    if not all(_times_equal(s, t, p.mode) for s, t in ends):
         raise UsageError("paths must share start and end times")
 
 
@@ -232,20 +260,17 @@ def _crossing_time(t0, t1, d0, d1, mode: str):
 
 
 def _insert_crossings(p: PLPath2, diffs: Sequence[Vec2]) -> list:
-    """Times where any diff coordinate strictly changes sign inside a segment."""
+    """p's grid plus the times where a diff coordinate strictly changes sign."""
     zero = _coerce_scalar(0, p.mode)
-    crossings = []
+    crossings: tuple = ([], [])  # one ascending list per coordinate
     for i in range(len(p.times) - 1):
         for j in (0, 1):
             d0, d1 = diffs[i][j], diffs[i + 1][j]
             if (d0 > zero and d1 < zero) or (d0 < zero and d1 > zero):
-                crossings.append(
+                crossings[j].append(
                     _crossing_time(p.times[i], p.times[i + 1], d0, d1, p.mode)
                 )
-    if not crossings:
-        return list(p.times)
-    crossings.sort(key=lambda t: t.as_fraction() if p.mode == EXACT else t)
-    return _merge_times(p.times, crossings, p.mode)
+    return merge_times(p.times, *crossings, mode=p.mode)
 
 
 def path_min(p: PLPath2, q: PLPath2) -> PLPath2:
@@ -316,15 +341,18 @@ def scale_components(p: PLPath2, c1, c2) -> PLPath2:
 def stieltjes(g: PLPath2, m: PLPath2, j: int) -> Scalar:
     """∫ g_j dm_j via the trapezoid rule, exact for PL integrand and integrator."""
     g, m = refine(g, m)
-    zero = _coerce_scalar(0, g.mode)
-    slack = zero if g.mode == EXACT else FLOAT_DEDUP * max(
-        1.0, *(abs(v[j]) for v in m.values)
-    )
-    total = zero
+    slack = 0 if g.mode == EXACT else FLOAT_DEDUP * max(1.0, *(abs(v[j]) for v in m.values))
+    for i in range(len(m.times) - 1):
+        if m.values[i + 1][j] - m.values[i][j] < -slack:
+            raise UsageError(f"integrator decreases on segment {i}")
+    return trapezoid(g, m, j)
+
+
+def trapezoid(g: PLPath2, m: PLPath2, j: int) -> Scalar:
+    """Trapezoid sum of g_j dm_j over the grid that g and m already share."""
+    total = _coerce_scalar(0, g.mode)
     for i in range(len(g.times) - 1):
         dm = m.values[i + 1][j] - m.values[i][j]
-        if dm < -slack:
-            raise UsageError(f"integrator decreases on segment {i}")
         total = total + (g.values[i][j] + g.values[i + 1][j]) * dm / 2
     return total
 

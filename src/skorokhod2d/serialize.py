@@ -2,7 +2,8 @@
 
 Exact scalars serialize as {"m": "<decimal-integer-string>", "e": <int>}
 meaning m * 2^e; float scalars are plain JSON numbers. The round trip is
-bit-identical in exact mode.
+bit-identical in exact mode. Decoding a malformed document raises UsageError
+naming the missing or malformed key.
 """
 
 from __future__ import annotations
@@ -25,14 +26,24 @@ def scalar_to_json(x, mode: str) -> Any:
     return float(x)
 
 
+def _field(obj: Any, key: str, kind: type = object) -> Any:
+    if not isinstance(obj, dict) or key not in obj:
+        raise UsageError(f"missing key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise UsageError(f"malformed {key!r}: {obj[key]!r}")
+    return obj[key]
+
+
 def scalar_from_json(obj: Any, mode: str):
     if mode == EXACT:
         if not isinstance(obj, dict) or set(obj) != {"m", "e"}:
             raise UsageError(f"malformed exact scalar: {obj!r}")
-        return Dyadic(int(obj["m"]), int(obj["e"]))
-    if isinstance(obj, dict):
+    elif isinstance(obj, dict):
         raise UsageError("exact scalar found in a float-mode document")
-    return float(obj)
+    try:
+        return Dyadic(int(obj["m"]), int(obj["e"])) if mode == EXACT else float(obj)
+    except (TypeError, ValueError):
+        raise UsageError(f"malformed {mode} scalar: {obj!r}") from None
 
 
 def path_to_json(p: PLPath2) -> dict:
@@ -47,15 +58,17 @@ def path_to_json(p: PLPath2) -> dict:
 
 
 def path_from_json(obj: dict) -> PLPath2:
-    mode = obj.get("mode")
+    mode = _field(obj, "mode")
     if mode not in (EXACT, FLOAT):
         raise UsageError(f"unknown path mode: {mode!r}")
-    times = tuple(scalar_from_json(t, mode) for t in obj["times"])
-    values = tuple(
-        (scalar_from_json(v[0], mode), scalar_from_json(v[1], mode))
-        for v in obj["values"]
+    values = _field(obj, "values", list)
+    if not all(isinstance(v, list) and len(v) == 2 for v in values):
+        raise UsageError("malformed 'values': each entry must be a pair")
+    return PLPath2(
+        tuple(scalar_from_json(t, mode) for t in _field(obj, "times", list)),
+        tuple((scalar_from_json(v[0], mode), scalar_from_json(v[1], mode)) for v in values),
+        mode,
     )
-    return PLPath2(times, values, mode)
 
 
 def path_to_csv(p: PLPath2) -> str:
@@ -77,7 +90,7 @@ def matrix_to_json(R: ReflectionMatrix2, mode: str) -> dict:
 
 def matrix_from_json(obj: dict, mode: str) -> ReflectionMatrix2:
     return ReflectionMatrix2(
-        scalar_from_json(obj["a1"], mode), scalar_from_json(obj["a2"], mode)
+        scalar_from_json(_field(obj, "a1"), mode), scalar_from_json(_field(obj, "a2"), mode)
     )
 
 
@@ -95,13 +108,13 @@ def triple_to_json(t: SolutionTriple) -> dict:
 
 
 def triple_from_json(obj: dict) -> SolutionTriple:
-    f = path_from_json(obj["f"])
+    f = path_from_json(_field(obj, "f"))
     tail = obj.get("tail_bound")
     return SolutionTriple(
-        R=matrix_from_json(obj["matrix"], f.mode),
+        R=matrix_from_json(_field(obj, "matrix"), f.mode),
         f=f,
-        g=path_from_json(obj["g"]),
-        m=path_from_json(obj["m"]),
+        g=path_from_json(_field(obj, "g")),
+        m=path_from_json(_field(obj, "m")),
         tail_bound=None if tail is None else scalar_from_json(tail, f.mode),
     )
 
@@ -133,16 +146,18 @@ def bundle_to_json(b: CounterexampleBundle) -> dict:
 
 
 def bundle_from_json(obj: dict) -> CounterexampleBundle:
-    u = path_from_json(obj["u"])
+    u = path_from_json(_field(obj, "u"))
     mode = u.mode
     return CounterexampleBundle(
-        R=matrix_from_json(obj["matrix"], mode),
+        R=matrix_from_json(_field(obj, "matrix"), mode),
         u=u,
-        decomp=MonotoneDecomp(path_from_json(obj["m"]), path_from_json(obj["mbar"])),
-        f=path_from_json(obj["f"]),
-        g=path_from_json(obj["g"]),
-        gbar=path_from_json(obj["gbar"]),
-        depth=int(obj["depth"]),
-        tail_bound=scalar_from_json(obj["tail_bound"], mode),
-        rho=scalar_from_json(obj["rho"], mode),
+        decomp=MonotoneDecomp(
+            path_from_json(_field(obj, "m")), path_from_json(_field(obj, "mbar"))
+        ),
+        f=path_from_json(_field(obj, "f")),
+        g=path_from_json(_field(obj, "g")),
+        gbar=path_from_json(_field(obj, "gbar")),
+        depth=_field(obj, "depth", int),
+        tail_bound=scalar_from_json(_field(obj, "tail_bound"), mode),
+        rho=scalar_from_json(_field(obj, "rho"), mode),
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .classify import ReflectionMatrix2, is_completely_s
 from .errors import StepInfeasibleError, UsageError
-from .paths import FLOAT, PLPath2
+from .paths import FLOAT, PLPath2, merge_times
 
 #: admissibility slack for support enumeration
 STEP_EPS = 2.0**-40
@@ -61,11 +61,10 @@ def skorokhod_1d(h: np.ndarray) -> np.ndarray:
 
 
 def _grid_for(f: PLPath2, cfg: SolveConfig) -> np.ndarray:
-    times = np.asarray(f.times, dtype=float)
-    if cfg.grid is not None:
-        # keep f's breakpoints so the sampled f is the exact path
-        return _merge_grid(np.asarray(cfg.grid, dtype=float), list(times))
-    return times
+    if cfg.grid is None:
+        return np.asarray(f.times, dtype=float)
+    # keep f's breakpoints so the sampled f is the exact path
+    return np.asarray(merge_times(f.times, cfg.grid, mode=FLOAT))
 
 
 def _sample(f: PLPath2, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +130,8 @@ def solve_fixed_point(
                 break
         if not converged:
             break
-        new_times = _kink_times(grid, (f1, f2), (m1, m2), (a1, a2), scale)
-        if not new_times:
-            break
-        enriched = _merge_grid(grid, new_times)
+        kinks = _kink_times(grid, (f1, f2), (m1, m2), (a1, a2), scale)
+        enriched = np.asarray(merge_times(grid, *kinks, mode=FLOAT))
         if len(enriched) == len(grid):
             break
         f1, f2 = _sample(f, enriched)
@@ -149,26 +146,15 @@ def solve_fixed_point(
     return SolveResult(g_path, m_path, total_iters, converged, float(diff))
 
 
-def _merge_grid(grid: np.ndarray, extra: list[float]) -> np.ndarray:
-    """Union of grid and extra times, dropping near-duplicates."""
-    merged = np.unique(np.concatenate([grid, np.asarray(extra, dtype=float)]))
-    span = max(1.0, abs(float(merged[-1])), abs(float(merged[0])))
-    keep = np.concatenate([[True], np.diff(merged) > 1e-13 * span])
-    merged = merged[keep]
-    # never lose the final endpoint to dedup
-    merged[-1] = grid[-1]
-    return merged
-
-
-def _kink_times(grid, fs, ms, coeffs, scale) -> list[float]:
-    """Times where a regulator starts increasing strictly inside a segment."""
+def _kink_times(grid, fs, ms, coeffs, scale) -> list[list[float]]:
+    """Per regulator, ascending times where it starts to rise inside a segment."""
     f1, f2 = fs
     m1, m2 = ms
     a1, a2 = coeffs
     g1 = f1 + m1 + a1 * m2
     g2 = f2 + a2 * m1 + m2
-    out: list[float] = []
-    for m, g in ((m1, g1), (m2, g2)):
+    out: list[list[float]] = [[], []]
+    for m, g, kinks in ((m1, g1, out[0]), (m2, g2, out[1])):
         dm = np.diff(m)
         # segments whose trapezoid contribution to int g dm is non-negligible
         contrib = 0.5 * (g[:-1] + g[1:]) * dm
@@ -180,91 +166,62 @@ def _kink_times(grid, fs, ms, coeffs, scale) -> list[float]:
             else:
                 theta = 0.5
             if 1e-9 < theta < 1 - 1e-9:
-                out.append(grid[i] + theta * (grid[i + 1] - grid[i]))
+                kinks.append(float(grid[i] + theta * (grid[i + 1] - grid[i])))
     return out
 
 
 # --- discrete complementarity stepping ---------------------------------------
 
 
-def _support_candidates(a1: float, a2: float, q1: float, q2: float):
-    """(support size, dm, g) for each of the four support sets, in order."""
-    out = [(0, (0.0, 0.0), (q1, q2))]
-    out.append((1, (-q1, 0.0), (0.0, q2 + a2 * -q1)))
-    out.append((1, (0.0, -q2), (q1 + a1 * -q2, 0.0)))
+def _lcp2(a1: float, a2: float, q1: float, q2: float, pushable=(True, True)):
+    """Support enumeration for the 2x2 LCP w = q + R z, z >= 0, z_j w_j = 0.
+
+    Only pushable coordinates may enter the support, and only they need
+    w_j >= 0; the others keep z_j = 0 and an unconstrained w_j. Ties break to
+    the smallest support, then the lexicographically smallest z. Returns
+    (z, w) with z clipped at 0, or None if no support is admissible.
+    """
+    candidates = [(0, (0.0, 0.0), (q1, q2))]
+    if pushable[0]:
+        candidates.append((1, (-q1, 0.0), (0.0, q2 + a2 * -q1)))
+    if pushable[1]:
+        candidates.append((1, (0.0, -q2), (q1 + a1 * -q2, 0.0)))
     det = 1.0 - a1 * a2
-    if abs(det) > 1e-12:
-        dm1 = (-q1 + a1 * q2) / det
-        dm2 = (-q2 + a2 * q1) / det
-        out.append((2, (dm1, dm2), (0.0, 0.0)))
-    return out
+    if pushable[0] and pushable[1] and abs(det) > 1e-12:
+        z = ((-q1 + a1 * q2) / det, (-q2 + a2 * q1) / det)
+        candidates.append((2, z, (0.0, 0.0)))
+    slack = STEP_EPS * max(1.0, abs(q1), abs(q2))
+    best = None
+    for cand in candidates:
+        _, z, w = cand
+        if min(z) < -slack or any(p and wj < -slack for p, wj in zip(pushable, w)):
+            continue
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    if best is None:
+        return None
+    _, z, w = best
+    return (max(z[0], 0.0), max(z[1], 0.0)), w
 
 
 def lcp_step(
-    R: ReflectionMatrix2, g_prev, delta_f, eps: float = STEP_EPS
+    R: ReflectionMatrix2, g_prev, delta_f
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """One complementarity step: find dm >= 0 with g_next = g_prev + df + R dm >= 0
     and dm complementary to g_next, by enumerating the four support sets.
 
-    Ties (possible for completely-S but non-P matrices) break to the smallest
-    support, then the lexicographically smallest dm.
+    Both coordinates may push; ties (possible for completely-S but non-P
+    matrices) break to the smallest support, then the lexicographically
+    smallest dm. Admissibility allows STEP_EPS * max(1, |g_prev + df|) of
+    slack, and the returned g and dm are clipped at 0.
     """
-    a1, a2 = float(R.a1), float(R.a2)
     q1 = float(g_prev[0]) + float(delta_f[0])
     q2 = float(g_prev[1]) + float(delta_f[1])
-    slack = eps * max(1.0, abs(q1), abs(q2))
-
-    best = None
-    for size, dm, g in _support_candidates(a1, a2, q1, q2):
-        if min(dm) < -slack or min(g) < -slack:
-            continue
-        key = (size, dm)
-        if best is None or key < best[0]:
-            best = (key, dm, g)
-    if best is None:
+    step = _lcp2(float(R.a1), float(R.a2), q1, q2)
+    if step is None:
         raise StepInfeasibleError("no admissible support set")
-    _, dm, g = best
-    dm = (max(dm[0], 0.0), max(dm[1], 0.0))
-    g = (max(g[0], 0.0), max(g[1], 0.0))
-    return g, dm
-
-
-def _rate_lcp(a1: float, a2: float, active: tuple[bool, bool], s1: float, s2: float):
-    """Complementarity on rates, restricted to the active coordinates.
-
-    Inactive coordinates keep dm-rate 0 and an unconstrained g-rate; active
-    ones need g-rate >= 0 complementary to dm-rate >= 0.
-    """
-    eps = STEP_EPS * max(1.0, abs(s1), abs(s2))
-    candidates = []  # (size, dm_rate)
-    candidates.append((0, (0.0, 0.0)))
-    if active[0]:
-        candidates.append((1, (-s1, 0.0)))
-    if active[1]:
-        candidates.append((2, (0.0, -s2)))
-    det = 1.0 - a1 * a2
-    if active[0] and active[1] and abs(det) > 1e-12:
-        candidates.append(
-            (3, ((-s1 + a1 * s2) / det, (-s2 + a2 * s1) / det))
-        )
-    best = None
-    for _, dm in candidates:
-        if min(dm) < -eps:
-            continue
-        g1r = s1 + dm[0] + a1 * dm[1]
-        g2r = s2 + a2 * dm[0] + dm[1]
-        if active[0] and dm[0] <= eps and g1r < -eps:
-            continue
-        if active[1] and dm[1] <= eps and g2r < -eps:
-            continue
-        size = (dm[0] > eps) + (dm[1] > eps)
-        key = (size, dm)
-        if best is None or key < best[0]:
-            best = (key, dm, (g1r, g2r))
-    if best is None:
-        return None
-    _, dm, gr = best
-    return (max(dm[0], 0.0), max(dm[1], 0.0)), gr
+    dm, g = step
+    return (max(g[0], 0.0), max(g[1], 0.0)), dm
 
 
 def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResult:
@@ -297,21 +254,23 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
         g1, g2 = g_vals[-1]
         mm1, mm2 = m_vals[-1]
         events = 0
-        while t < tb - 1e-15 * max(1.0, tb):
+        while t < tb:
             events += 1
             if events > 1000:
                 raise StepInfeasibleError("event cascade did not terminate", k)
             active = (g1 <= act_eps, g2 <= act_eps)
-            rates = _rate_lcp(a1, a2, active, s1, s2)
+            # rates: only coordinates sitting at zero may push
+            rates = _lcp2(a1, a2, s1, s2, active)
             if rates is None:
                 raise StepInfeasibleError("no admissible rate support", k)
             (dm1, dm2), (gr1, gr2) = rates
+            # march to tb, or to the first zero of a positive coordinate
             tau = tb - t
             if not active[0] and gr1 < -act_eps:
                 tau = min(tau, g1 / -gr1)
             if not active[1] and gr2 < -act_eps:
                 tau = min(tau, g2 / -gr2)
-            t = min(t + tau, tb)
+            t = tb if tau == tb - t else min(t + tau, tb)
             g1 = max(g1 + tau * gr1, 0.0) if gr1 < 0 else g1 + tau * gr1
             g2 = max(g2 + tau * gr2, 0.0) if gr2 < 0 else g2 + tau * gr2
             mm1 += tau * dm1

@@ -22,10 +22,10 @@ from .paths import (
     Scalar,
     matrix_apply,
     path_sub,
+    refine,
     sup_distance,
     total_variation,
-    with_times,
-    _merge_times,
+    trapezoid,
 )
 
 
@@ -70,19 +70,14 @@ class VerificationReport:
         }
 
 
-def _common_grid(*ps: PLPath2) -> list[PLPath2]:
-    grid = list(ps[0].times)
-    for p in ps[1:]:
-        grid = _merge_times(grid, p.times, p.mode)
-    return [with_times(p, grid) for p in ps]
-
-
 def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationReport:
     """Per-condition residuals and verdict for a candidate solution.
 
     tol = 0 is meaningful in exact mode: every comparison is then exact.
+    The paths are checked on the union of their grids, which keeps every
+    breakpoint of f; paths whose time domains differ are refused.
     """
-    f, g, m = _common_grid(triple.f, triple.g, triple.m)
+    f, g, m = refine(triple.f, triple.g, triple.m)
     rm = matrix_apply(triple.R.a1, triple.R.a2, m)
 
     eq_residual = max(
@@ -97,13 +92,7 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
         for j in (0, 1)
     ) if len(m.times) > 1 else m.values[0][0] - m.values[0][0]
 
-    integrals = []
-    for j in (0, 1):
-        total = g.values[0][j] - g.values[0][j]  # zero in the right mode
-        for i in range(len(g.times) - 1):
-            dm = m.values[i + 1][j] - m.values[i][j]
-            total = total + (g.values[i][j] + g.values[i + 1][j]) * dm / 2
-        integrals.append(total)
+    integrals = [trapezoid(g, m, j) for j in (0, 1)]
 
     tv = total_variation(m, 0) + total_variation(m, 1)
     comp_scale = max(1, tv) if m.mode == EXACT else max(1.0, float(tv))

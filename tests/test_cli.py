@@ -149,3 +149,33 @@ def test_figure_deterministic(tmp_path, capsys):
 
 def test_usage_error_unknown_tol():
     assert run(["verify", "--triple", "/nope.json", "--tol", "0"]) == 2
+
+
+def test_float_counterexample_certifies(capsys):
+    # a1 = -1.5 runs in float mode; breakpoints 2^-40 and 2^-39 stay distinct
+    code, doc = run_json(capsys, ["counterexample", "--a1", "-1.5", "--verify"])
+    assert doc["mode"] == "float"
+    assert code == 0 and doc["verify"]["pass"] and doc["verify_bar"]["pass"]
+
+
+def test_document_missing_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "bundle.json"
+    assert run(["counterexample", "--a1", "-2", "--depth", "8", "--out", str(out)]) == 0
+    bundle = serialize.bundle_from_json(json.loads(out.read_text()))
+    doc = serialize.triple_to_json(bundle.triple())
+    del doc["g"]
+    triple_path = tmp_path / "triple.json"
+    triple_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", "--triple", str(triple_path)]) == 2
+    assert "missing key 'g'" in capsys.readouterr().err
+
+
+def test_malformed_inputs_exit_2(tmp_path):
+    assert run(["counterexample", "--a1", "1/0"]) == 2
+    svg = str(tmp_path / "x.svg")
+    assert run(["figure", "--a1", "1/0", "--out", svg]) == 2
+    assert run(["figure", "--depth", "8", "--range", "0", "--out", svg]) == 2
+    assert run(["figure", "--depth", "8", "--min-time", "2", "--out", svg]) == 2
+    fpath = write_driving_path(tmp_path)
+    assert run(["solve", "--matrix=-0.5,0.5", "--f", str(fpath), "--grid-steps", "-3"]) == 2

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skorokhod2d import serialize
 from skorokhod2d.counterexample import build_u
@@ -10,9 +10,11 @@ from skorokhod2d.errors import DomainError, UsageError
 from skorokhod2d.paths import (
     EXACT,
     FLOAT,
+    FLOAT_DEDUP,
     PLPath2,
     jordan_decompose,
     matrix_apply,
+    merge_times,
     minus_part,
     path_min,
     path_sub,
@@ -247,3 +249,91 @@ def test_lattice_identity_property(pq):
     diff = path_sub(p, q)
     assert sup_distance(path_sub(p, low), plus_part(diff)) == 0
     assert sup_distance(path_sub(q, low), minus_part(diff)) == 0
+
+
+# --- the breakpoint rule ------------------------------------------------------
+
+# normal floats only, so that scaling by 2^k (|k| <= 60) rounds nowhere
+_times = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-200, max_value=1e200),
+    st.floats(min_value=-1e200, max_value=-1e-200),
+)
+# relative offsets on both sides of the FLOAT_DEDUP threshold
+_offsets = st.sampled_from([0.0, 2.0**-45, 2.0**-41, 2.0**-40, 2.0**-39, 1e-9, -2.0**-41])
+
+
+@st.composite
+def _grids(draw):
+    base = sorted(set(draw(st.lists(_times, min_size=1, max_size=8))))
+    extras = []
+    for _ in range(draw(st.integers(0, 3))):
+        near = [b * (1 + draw(_offsets)) for b in draw(st.lists(st.sampled_from(base), max_size=4))]
+        extras.append(sorted(near + draw(st.lists(_times, max_size=4))))
+    return base, extras
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids(), st.integers(min_value=-60, max_value=60))
+def test_merge_times_commutes_with_power_of_two_rescaling(grids, k):
+    base, extras = grids
+    c = 2.0**k
+    merged = merge_times(base, *extras, mode=FLOAT)
+    scaled = merge_times([c * t for t in base], *([c * t for t in e] for e in extras), mode=FLOAT)
+    assert scaled == [c * t for t in merged]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids())
+def test_merge_times_keeps_base_and_is_idempotent(grids):
+    base, extras = grids
+    merged = merge_times(base, *extras, mode=FLOAT)
+    assert set(base) <= set(merged)
+    assert all(s < t for s, t in zip(merged, merged[1:]))
+    assert merge_times(merged, merged, mode=FLOAT) == merged
+    assert merge_times(merged, *extras, mode=FLOAT) == merged
+
+
+def _reference_merge(base, *extras):
+    # the rule as stated: an extra joins unless it is near any time kept so far
+    kept = list(base)
+    for extra in extras:
+        for t in extra:
+            if not any(abs(t - s) <= FLOAT_DEDUP * max(abs(s), abs(t)) for s in kept):
+                kept.append(t)
+        kept.sort()
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids())
+def test_merge_times_matches_reference(grids):
+    base, extras = grids
+    assert merge_times(base, *extras, mode=FLOAT) == _reference_merge(base, *extras)
+
+
+def test_merge_times_has_no_absolute_floor():
+    # neighbouring spiral breakpoints 2^-41 and 2^-40 are distinct times
+    assert merge_times([2.0**-41, 1.0], [2.0**-40], mode=FLOAT) == [2.0**-41, 2.0**-40, 1.0]
+    # a near-duplicate extra never displaces the base time
+    assert merge_times([0.0, 0.5, 1.0], [0.5 - 5e-14], mode=FLOAT) == [0.0, 0.5, 1.0]
+
+
+def test_merge_times_exact_is_a_linear_walk(monkeypatch):
+    def no_hash(self):
+        raise AssertionError("exact merge must not hash Dyadic")
+
+    monkeypatch.setattr(Dyadic, "__hash__", no_hash)
+    base = [Dyadic(0), Dyadic(1, -2), Dyadic(1)]
+    extra = [Dyadic(1, -3), Dyadic(1, -2), Dyadic(1, -2), Dyadic(3, -2)]
+    merged = merge_times(base, extra, [Dyadic(3, -2)], mode=EXACT)
+    assert merged == [Dyadic(0), Dyadic(1, -3), Dyadic(1, -2), Dyadic(3, -2), Dyadic(1)]
+
+
+def test_refine_is_variadic_and_keeps_first_grid():
+    p = PLPath2((0.0, 0.5, 1.0), ((0.0, 0.0), (1.0, 0.0), (0.0, 0.0)), FLOAT)
+    q = PLPath2((0.0, 0.5 - 5e-14, 1.0), ((0.0, 0.0),) * 3, FLOAT)
+    r = PLPath2((0.0, 0.25, 1.0), ((0.0, 0.0),) * 3, FLOAT)
+    out = refine(p, q, r)
+    assert len(out) == 3
+    assert all(x.times == (0.0, 0.25, 0.5, 1.0) for x in out)

@@ -135,6 +135,17 @@ def test_explicit_grid_keeps_driving_breakpoints():
     assert verify(SolutionTriple(IDENTITY, f, res.g, res.m), tol=1e-10).passed
 
 
+def test_explicit_grid_near_driving_breakpoint_keeps_it():
+    # the grid time 0.5 - 5e-14 is the same breakpoint as f's 0.5; f's wins
+    f = float_path([0, 0.5, 1], [(0, 0), (-1, 0.5), (0.5, 0)])
+    cfg = SolveConfig(tol=1e-12, grid=[0.0, 0.5 - 5e-14, 1.0])
+    for solver in (solve_fixed_point, solve_grid):
+        res = solver(IDENTITY, f, cfg)
+        assert 0.5 in res.g.times and 0.5 in res.m.times
+        assert 0.5 - 5e-14 not in res.g.times
+        assert verify(SolutionTriple(IDENTITY, f, res.g, res.m), tol=1e-10).passed
+
+
 def test_damping_reaches_critical_case():
     R = ReflectionMatrix2(-1.0, 1.0)
     ts = np.linspace(0.0, 1.0, 33)

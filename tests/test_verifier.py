@@ -4,7 +4,7 @@ from skorokhod2d.classify import ReflectionMatrix2
 from skorokhod2d.counterexample import build_counterexample
 from skorokhod2d.dyadic import Dyadic
 from skorokhod2d.errors import UsageError
-from skorokhod2d.paths import EXACT, PLPath2
+from skorokhod2d.paths import EXACT, FLOAT, PLPath2
 from skorokhod2d.verifier import (
     Sector,
     SolutionTriple,
@@ -105,6 +105,16 @@ def test_mode_mismatch_rejected():
     f_float = PLPath2((0.0, 1.0, 2.0), ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), "float")
     with pytest.raises(UsageError):
         SolutionTriple(t.R, f_float, t.g, t.m)
+
+
+def test_mismatched_time_domains_refused():
+    # g and m stop at t = 0.5 while f runs to t = 1: nothing is clamped
+    R = ReflectionMatrix2(0.0, 0.0)
+    f = PLPath2((0.0, 0.5, 1.0), ((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), FLOAT)
+    m = PLPath2((0.0, 0.5), ((0.0, 0.0), (1.0, 0.0)), FLOAT)
+    g = PLPath2((0.0, 0.5), ((0.0, 1.0), (0.0, 1.0)), FLOAT)
+    with pytest.raises(UsageError):
+        verify(SolutionTriple(R, f, g, m), tol=1e-12)
 
 
 def test_sector_partition_half_open():
