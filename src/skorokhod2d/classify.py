@@ -21,7 +21,7 @@ from .dyadic import Dyadic, to_dyadic
 from .errors import InvalidMatrixError, UsageError
 from . import paths
 
-#: float-mode half-width of the critical band around |a1*a2| = 1
+#: float-mode half-width of the band around |a1*a2| = 1 (unitless, so absolute)
 CRITICAL_BAND = 2.0**-40
 
 

@@ -28,6 +28,7 @@ from .errors import (
     UsageError,
 )
 from .figure import emit_figure
+from .paths import FLOAT_DEDUP
 from .solver import SolveConfig, solve_fixed_point, solve_grid
 from .verifier import compare_solutions, verify
 
@@ -147,7 +148,7 @@ def _cmd_counterexample(args) -> int:
     }
     ok = True
     if args.verify:
-        tol = 0 if bundle.u.mode == "exact" else 2.0**-40
+        tol = 0 if bundle.u.mode == "exact" else FLOAT_DEDUP
         r1 = verify(bundle.triple(), tol)
         r2 = verify(bundle.triple_bar(), tol)
         doc["verify"] = r1.to_json()

@@ -23,13 +23,16 @@ from .errors import ConstructionError, ExactnessError, UsageError
 from .paths import (
     EXACT,
     FLOAT,
+    FLOAT_DEDUP,
     MonotoneDecomp,
     PLPath2,
     Scalar,
+    _coerce_scalar,
     jordan_decompose,
     matrix_apply,
     minus_part,
     negate,
+    negligible,
     path_min,
     path_sub,
     plus_part,
@@ -57,20 +60,22 @@ class CounterexampleBundle:
         return SolutionTriple(self.R, self.f, self.gbar, self.decomp.mbar, self.tail_bound)
 
 
-def _resolve_mode(a1, mode: str):
-    """Pick exact or float arithmetic; exact needs 1/|a1| to be dyadic."""
+def _resolve_mode(a1, depth: int, mode: str):
+    """Check the spiral's parameters; (mode, a1, rho = 1/|a1|), exact if rho is dyadic."""
+    if not a1 < -1:
+        raise ConstructionError("spiral requires a1 < -1 (it must expand)")
+    if depth < 4 or depth % 4:
+        raise ConstructionError("depth must be a positive multiple of 4")
     if mode not in ("auto", EXACT, FLOAT):
         raise UsageError(f"unknown mode {mode!r}")
-    if mode == FLOAT:
-        return FLOAT, float(a1), 1.0 / abs(float(a1))
-    try:
-        a1d = to_dyadic(a1)
-        rho = Dyadic(1) / abs(a1d)
-        return EXACT, a1d, rho
-    except (ExactnessError, TypeError):
-        if mode == EXACT:
-            raise ExactnessError(f"a1={a1!r} does not admit exact construction")
-        return FLOAT, float(a1), 1.0 / abs(float(a1))
+    if mode != FLOAT:
+        try:
+            a1d = to_dyadic(a1)
+            return EXACT, a1d, Dyadic(1) / abs(a1d)
+        except (ExactnessError, TypeError):
+            if mode == EXACT:
+                raise ExactnessError(f"a1={a1!r} does not admit exact construction")
+    return FLOAT, float(a1), 1.0 / abs(float(a1))
 
 
 def build_u(a1, depth: int, mode: str = "auto") -> PLPath2:
@@ -80,12 +85,10 @@ def build_u(a1, depth: int, mode: str = "auto") -> PLPath2:
     coordinate changes per segment, so the monotone decomposition reads off
     segment by segment.
     """
-    if not a1 < -1:
-        raise ConstructionError("spiral requires a1 < -1 (it must expand)")
-    if depth < 4 or depth % 4:
-        raise ConstructionError("depth must be a positive multiple of 4")
-    use_mode, a1c, rho = _resolve_mode(a1, mode)
+    return _spiral(depth, *_resolve_mode(a1, depth, mode))
 
+
+def _spiral(depth: int, mode: str, a1, rho) -> PLPath2:
     pow_rho = [rho**0]
     for _ in range(depth + 2):
         pow_rho.append(pow_rho[-1] * rho)
@@ -101,40 +104,34 @@ def build_u(a1, depth: int, mode: str = "auto") -> PLPath2:
             v = (pow_rho[2 * k + 1], -pow_rho[2 * k + 1])
         else:
             v = (pow_rho[2 * k + 1], pow_rho[2 * k + 2])
-        times.append(Dyadic(1, -n) if use_mode == EXACT else 2.0**-n)
+        times.append(Dyadic(1, -n) if mode == EXACT else 2.0**-n)
         values.append(v)
-    u = PLPath2(tuple(times), tuple(values), use_mode)
-    _guard_geometry(u, a1c)
+    u = PLPath2(tuple(times), tuple(values), mode)
+    _guard_geometry(u, a1)
     return u
 
 
 def _guard_geometry(u: PLPath2, a1) -> None:
-    """Line membership and one-coordinate-per-segment checks.
-
-    These hold by construction for the generalized breakpoint formulas; the
-    guard protects against regressions when a1 != -2.
-    """
-    slack = 0 if u.mode == EXACT else 2.0**-40
+    """Line membership, relative to the terms summed, and exactly one changed
+    coordinate per segment (the other is copied bit for bit). Both hold by
+    construction; the guard protects against regressions when a1 != -2."""
     for v in u.values:
-        on_sum = abs(v[0] + v[1]) <= slack
-        on_slope = abs(v[0] + a1 * v[1]) <= slack
-        if not (on_sum or on_slope):
+        terms = ((v[0], v[1]), (v[0], a1 * v[1]))  # u1 + u2 = 0 or u1 + a1 u2 = 0
+        if not any(negligible(x + y, max(abs(x), abs(y)), u.mode) for x, y in terms):
             raise ConstructionError(f"breakpoint {v} lies on neither reference line")
     for i in range(len(u.times) - 1):
         d1 = u.values[i + 1][0] - u.values[i][0]
         d2 = u.values[i + 1][1] - u.values[i][1]
-        if (abs(d1) > slack) == (abs(d2) > slack):
+        if (d1 != 0) == (d2 != 0):
             raise ConstructionError(f"segment {i} must change exactly one coordinate")
 
 
 def build_counterexample(a1, depth: int = 40, mode: str = "auto") -> CounterexampleBundle:
     """Full bundle: spiral, decomposition, driving function and both solutions."""
-    u = build_u(a1, depth, mode)
-    use_mode = u.mode
-    a1c = to_dyadic(a1) if use_mode == EXACT else float(a1)
-    one = Dyadic(1) if use_mode == EXACT else 1.0
-    zero = Dyadic(0) if use_mode == EXACT else 0.0
-    R = ReflectionMatrix2(a1c, one)
+    use_mode, a1c, rho = _resolve_mode(a1, depth, mode)
+    u = _spiral(depth, use_mode, a1c, rho)
+    zero = _coerce_scalar(0, use_mode)
+    R = ReflectionMatrix2(a1c, _coerce_scalar(1, use_mode))
 
     base = jordan_decompose(u)
     # Offset by the split of u(t_depth) so that m - mbar = u exactly; the
@@ -152,7 +149,6 @@ def build_counterexample(a1, depth: int = 40, mode: str = "auto") -> Counterexam
     g = plus_part(diff)
     gbar = minus_part(diff)
 
-    rho = Dyadic(1) / abs(a1c) if use_mode == EXACT else 1.0 / abs(a1c)
     tail_bound = 4 * rho ** (depth // 2)
 
     return CounterexampleBundle(
@@ -173,7 +169,7 @@ def check_identities(bundle: CounterexampleBundle) -> bool:
     rm = matrix_apply(bundle.R.a1, bundle.R.a2, bundle.decomp.m)
     rmbar = matrix_apply(bundle.R.a1, bundle.R.a2, bundle.decomp.mbar)
     low = path_min(rm, rmbar)
-    tol = 0 if bundle.u.mode == EXACT else 2.0**-40
+    tol = 0 if bundle.u.mode == EXACT else FLOAT_DEDUP
     return (
         sup_distance(bundle.g, path_sub(rm, low)) <= tol
         and sup_distance(bundle.gbar, path_sub(rmbar, low)) <= tol

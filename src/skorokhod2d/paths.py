@@ -5,11 +5,11 @@ grid time, linearly interpolated in between. Every path is either in exact
 mode (all scalars Dyadic, no operation ever rounds) or float mode (IEEE
 doubles). The two modes never mix inside one path or one binary operation.
 
-Every grid decision goes through `merge_times` and its one breakpoint rule:
-each time of the base grid is kept, and another time joins unless it is the
-same breakpoint as a kept time: equal in exact mode, within
-FLOAT_DEDUP * max(|s|, |t|) in float mode. No absolute floor, so the spiral's
-breakpoints 2^-n stay distinct at any depth.
+Every float tolerance is FLOAT_DEDUP times a magnitude of the same units
+from the inputs; no absolute floor (`negligible`), so no result depends on the
+unit of time or space. Every grid decision goes through `merge_times`: each
+time of the base grid is kept, and another time joins unless it is the same
+breakpoint as a kept time, their difference negligible against max(|s|, |t|).
 """
 
 from __future__ import annotations
@@ -28,8 +28,15 @@ Vec2 = tuple[Scalar, Scalar]
 EXACT = "exact"
 FLOAT = "float"
 
-#: relative spacing below which float-mode breakpoints are considered equal
+#: relative size below which a float quantity is negligible
 FLOAT_DEDUP = 2.0**-40
+
+
+def negligible(x, ref, mode: str):
+    """x == 0 in exact mode, |x| <= FLOAT_DEDUP * ref (ref in x's units) in float."""
+    if mode == EXACT:
+        return x == 0
+    return abs(x) <= FLOAT_DEDUP * ref
 
 
 def _check_mode(mode: str) -> None:
@@ -176,20 +183,20 @@ def _merge_float(b: np.ndarray, extra: Sequence) -> np.ndarray:
 
 def _times_equal(s, t, mode: str):
     """The breakpoint rule's equality; elementwise on float arrays."""
-    if mode == EXACT:
-        return s == t
-    return abs(t - s) <= FLOAT_DEDUP * np.maximum(abs(s), abs(t))
+    return negligible(t - s, np.maximum(abs(s), abs(t)), mode)
 
 
 def with_times(path: PLPath2, new_times: Sequence) -> PLPath2:
-    """Re-grid a path onto an ascending superset of its breakpoint times."""
+    """Re-grid a path onto an ascending superset of its breakpoint times; a
+    time outside the domain must be the same breakpoint as the end it passes."""
     times, vals, mode = path.times, path.values, path.mode
     out, i = [], 0
     for t in new_times:
-        if mode == FLOAT:
-            t = min(max(t, times[0]), times[-1])  # a merged end may sit just outside
-        elif not times[0] <= t <= times[-1]:
-            raise DomainError(f"t={t} outside [{times[0]}, {times[-1]}]")
+        if not times[0] <= t <= times[-1]:
+            end = times[0] if t < times[0] else times[-1]
+            if not _times_equal(end, t, mode):
+                raise DomainError(f"t={t} outside [{times[0]}, {times[-1]}]")
+            t = end
         while times[i] < t:  # one walk: times are never hashed or bisected
             i += 1
         if times[i] == t:
@@ -341,9 +348,10 @@ def scale_components(p: PLPath2, c1, c2) -> PLPath2:
 def stieltjes(g: PLPath2, m: PLPath2, j: int) -> Scalar:
     """∫ g_j dm_j via the trapezoid rule, exact for PL integrand and integrator."""
     g, m = refine(g, m)
-    slack = 0 if g.mode == EXACT else FLOAT_DEDUP * max(1.0, *(abs(v[j]) for v in m.values))
+    ref = max(abs(v[j]) for v in m.values)
     for i in range(len(m.times) - 1):
-        if m.values[i + 1][j] - m.values[i][j] < -slack:
+        dm = m.values[i + 1][j] - m.values[i][j]
+        if dm < 0 and not negligible(dm, ref, m.mode):
             raise UsageError(f"integrator decreases on segment {i}")
     return trapezoid(g, m, j)
 

@@ -16,12 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classify import ReflectionMatrix2, is_completely_s
+from .classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
 from .errors import StepInfeasibleError, UsageError
-from .paths import FLOAT, PLPath2, merge_times
-
-#: admissibility slack for support enumeration
-STEP_EPS = 2.0**-40
+from .paths import FLOAT, FLOAT_DEDUP, PLPath2, merge_times, negligible
 
 
 @dataclass
@@ -64,7 +61,10 @@ def _grid_for(f: PLPath2, cfg: SolveConfig) -> np.ndarray:
     if cfg.grid is None:
         return np.asarray(f.times, dtype=float)
     # keep f's breakpoints so the sampled f is the exact path
-    return np.asarray(merge_times(f.times, cfg.grid, mode=FLOAT))
+    grid = np.asarray(merge_times(f.times, cfg.grid, mode=FLOAT))
+    if grid[0] != f.start_time or grid[-1] != f.end_time:
+        raise UsageError("grid reaches outside the driving path's time domain")
+    return grid
 
 
 def _sample(f: PLPath2, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +113,7 @@ def solve_fixed_point(
     total_iters = 0
     converged = False
     diff = np.inf
-    scale = max(1.0, np.max(np.abs(f1)), np.max(np.abs(f2)))
+    scale = max(np.max(np.abs(f1)), np.max(np.abs(f2)))
 
     for _round in range(250):
         converged = False
@@ -156,15 +156,16 @@ def _kink_times(grid, fs, ms, coeffs, scale) -> list[list[float]]:
     out: list[list[float]] = [[], []]
     for m, g, kinks in ((m1, g1, out[0]), (m2, g2, out[1])):
         dm = np.diff(m)
-        # segments whose trapezoid contribution to int g dm is non-negligible
+        # a share of int g dm (value^2) above 1e-15 sup|f|^2: FLOAT_DEDUP loses kinks
         contrib = 0.5 * (g[:-1] + g[1:]) * dm
-        for i in np.nonzero(contrib > 1e-15 * scale)[0]:
+        for i in np.nonzero(contrib > 1e-15 * scale**2)[0]:
             phi0 = g[i]
             phi1 = g[i + 1] - dm[i]
             if phi0 > 0 > phi1:
                 theta = phi0 / (phi0 - phi1)
             else:
                 theta = 0.5
+            # kinks at a segment's ends would grow the grid every round without end
             if 1e-9 < theta < 1 - 1e-9:
                 kinks.append(float(grid[i] + theta * (grid[i + 1] - grid[i])))
     return out
@@ -187,10 +188,11 @@ def _lcp2(a1: float, a2: float, q1: float, q2: float, pushable=(True, True)):
     if pushable[1]:
         candidates.append((1, (0.0, -q2), (q1 + a1 * -q2, 0.0)))
     det = 1.0 - a1 * a2
-    if pushable[0] and pushable[1] and abs(det) > 1e-12:
+    # a1*a2 within the critical band of 1: the full support is singular
+    if pushable[0] and pushable[1] and abs(det) > CRITICAL_BAND:
         z = ((-q1 + a1 * q2) / det, (-q2 + a2 * q1) / det)
         candidates.append((2, z, (0.0, 0.0)))
-    slack = STEP_EPS * max(1.0, abs(q1), abs(q2))
+    slack = FLOAT_DEDUP * max(abs(q1), abs(q2))
     best = None
     for cand in candidates:
         _, z, w = cand
@@ -212,7 +214,7 @@ def lcp_step(
 
     Both coordinates may push; ties (possible for completely-S but non-P
     matrices) break to the smallest support, then the lexicographically
-    smallest dm. Admissibility allows STEP_EPS * max(1, |g_prev + df|) of
+    smallest dm. Admissibility allows FLOAT_DEDUP * max(|g_prev + df|) of
     slack, and the returned g and dm are clipped at 0.
     """
     q1 = float(g_prev[0]) + float(delta_f[0])
@@ -238,8 +240,7 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
     a1, a2 = float(R.a1), float(R.a2)
     grid = _grid_for(f, cfg)
     f1, f2 = _sample(f, grid)
-    scale = max(1.0, float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
-    act_eps = 1e-12 * scale
+    scale = max(float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
 
     times = [float(grid[0])]
     g_vals = [(max(f1[0], 0.0), max(f2[0], 0.0))]
@@ -258,7 +259,7 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
             events += 1
             if events > 1000:
                 raise StepInfeasibleError("event cascade did not terminate", k)
-            active = (g1 <= act_eps, g2 <= act_eps)
+            active = (negligible(g1, scale, FLOAT), negligible(g2, scale, FLOAT))
             # rates: only coordinates sitting at zero may push
             rates = _lcp2(a1, a2, s1, s2, active)
             if rates is None:
@@ -266,9 +267,9 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
             (dm1, dm2), (gr1, gr2) = rates
             # march to tb, or to the first zero of a positive coordinate
             tau = tb - t
-            if not active[0] and gr1 < -act_eps:
+            if not active[0] and gr1 < 0:
                 tau = min(tau, g1 / -gr1)
-            if not active[1] and gr2 < -act_eps:
+            if not active[1] and gr2 < 0:
                 tau = min(tau, g2 / -gr2)
             t = tb if tau == tb - t else min(t + tau, tb)
             g1 = max(g1 + tau * gr1, 0.0) if gr1 < 0 else g1 + tau * gr1

@@ -17,7 +17,7 @@ from typing import Optional
 from .classify import ReflectionMatrix2
 from .errors import UsageError
 from .paths import (
-    EXACT,
+    FLOAT_DEDUP,
     PLPath2,
     Scalar,
     matrix_apply,
@@ -94,8 +94,8 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
 
     integrals = [trapezoid(g, m, j) for j in (0, 1)]
 
+    # int g dm has units value^2: tol is weighed against m's total variation
     tv = total_variation(m, 0) + total_variation(m, 1)
-    comp_scale = max(1, tv) if m.mode == EXACT else max(1.0, float(tv))
 
     strict_ok: Optional[bool] = None
     if strict:
@@ -112,7 +112,7 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
         and min_g >= -tol
         and m_start <= start_budget
         and monotone_violation >= -tol
-        and all(c <= tol * comp_scale for c in integrals)
+        and all(c <= tol * tv for c in integrals)
         and (strict_ok is None or strict_ok)
     )
     return VerificationReport(
@@ -234,9 +234,7 @@ def check_e2_signs(s1: SolutionTriple, s2: SolutionTriple, tol=0.0) -> E2Report:
     """
     canonical = ReflectionMatrix2(-1.0, 1.0)
     for s in (s1, s2):
-        if not _matrices_close(
-            ReflectionMatrix2(float(s.R.a1), float(s.R.a2)), canonical, max(tol, 1e-12)
-        ):
+        if not _matrices_close(s.R, canonical, max(tol, FLOAT_DEDUP)):
             raise UsageError("check_e2_signs requires R = [[1, -1], [1, 1]]")
     u = path_sub(s1.m, s2.m)
     worst = 0.0

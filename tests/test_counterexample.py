@@ -124,3 +124,15 @@ def test_float_mode_verifies_loosely():
     gap = solution_gap(b)
     assert gap[0] == pytest.approx(2.5, abs=1e-12)
     assert gap[1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("a1", [-1.5, -2.0, -3.0])
+@pytest.mark.parametrize("depth", [40, 100, 200])
+def test_float_spiral_certifies_at_depth(a1, depth):
+    # the spiral's breakpoints reach 2^-200 and its values (1/|a1|)^100, so
+    # a float tolerance with an absolute floor fails here
+    b = build_counterexample(a1, depth, mode="float")
+    assert b.u.mode == FLOAT
+    assert check_identities(b)
+    assert verify(b.triple(), tol=2.0**-40).passed
+    assert verify(b.triple_bar(), tol=2.0**-40).passed

@@ -22,6 +22,7 @@ from skorokhod2d.paths import (
     refine,
     stieltjes,
     sup_distance,
+    with_times,
 )
 
 
@@ -44,6 +45,21 @@ def test_eval_breakpoint_identity_and_domain():
         p.eval(3)
     with pytest.raises(DomainError):
         p.eval(-1)
+
+
+def test_with_times_refuses_out_of_domain_times_in_both_modes():
+    f = PLPath2((0.0, 1.0), ((0.0, 0.0), (2.0, 4.0)), FLOAT)
+    with pytest.raises(DomainError):
+        with_times(f, [-1.0, 0.0, 0.5, 1.0, 3.0])
+    with pytest.raises(DomainError):
+        with_times(f, [0.0, 1.0, 1.0 + 1e-9])
+    with pytest.raises(DomainError):
+        with_times(exact_path([0, 1], [(0, 0), (2, 4)]), [Dyadic(-1), 0, 1])
+    # an end that is the same breakpoint as the domain end takes its value
+    end = 1.0 + FLOAT_DEDUP / 4
+    q = with_times(f, [0.0, 0.5, end])
+    assert q.times == (0.0, 0.5, end)
+    assert q.values == ((0.0, 0.0), (1.0, 2.0), (2.0, 4.0))
 
 
 def test_refine_union_grid():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skorokhod2d.classify import ReflectionMatrix2
 from skorokhod2d.dyadic import Dyadic
@@ -146,6 +146,17 @@ def test_explicit_grid_near_driving_breakpoint_keeps_it():
         assert verify(SolutionTriple(IDENTITY, f, res.g, res.m), tol=1e-10).passed
 
 
+def test_grid_outside_driving_domain_is_refused():
+    f = float_path([0, 1], [(0, 0), (-1, 0.5)])
+    for solver in (solve_fixed_point, solve_grid):
+        for grid in ([0.0, 1.0, 2.0], [-1.0, 0.5, 1.0]):
+            with pytest.raises(UsageError):
+                solver(IDENTITY, f, SolveConfig(tol=1e-12, grid=grid))
+        # an end within the breakpoint rule is f's own end
+        res = solver(IDENTITY, f, SolveConfig(tol=1e-12, grid=[0.0, 0.5, 1.0 + 1e-14]))
+        assert res.g.times == (0.0, 0.5, 1.0)
+
+
 def test_damping_reaches_critical_case():
     R = ReflectionMatrix2(-1.0, 1.0)
     ts = np.linspace(0.0, 1.0, 33)
@@ -244,3 +255,34 @@ def test_solvers_agree_property(a1, a2, seed):
     r2 = solve_grid(R, f, cfg)
     assert r1.converged
     assert sup_distance(r1.m, r2.m) < 1e-7
+
+
+# a smaller nonzero entry times a 2^-40-scaled value can go subnormal, where
+# scaling by 2^k is no longer exact
+scale_free_entries = matrix_entries.filter(lambda a: a == 0 or abs(a) >= 2.0**-20)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scale_free_entries, scale_free_entries, st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=-40, max_value=40))
+@example(-0.6, 0.4, 2, -40)
+@example(-0.6, 0.4, 2, -20)
+def test_solvers_commute_with_power_of_two_rescaling(a1, a2, seed, k):
+    # time t -> 2^k t and space x -> 2^k x (with tol) are exact in binary
+    # floating point, so undoing them must give back the same bits
+    R = ReflectionMatrix2(a1, a2)
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, 41)
+    vals = rng.normal(size=(41, 2)).cumsum(axis=0)
+    vals -= vals[0]
+    c = 2.0**k
+    for solver in (solve_fixed_point, solve_grid):
+        base = solver(R, float_path(ts, vals), SolveConfig(tol=1e-12))
+        in_time = solver(R, float_path(ts * c, vals), SolveConfig(tol=1e-12))
+        in_space = solver(R, float_path(ts, vals * c), SolveConfig(tol=1e-12 * c))
+        assert np.array_equal(np.array(in_time.g.times) / c, base.g.times)
+        assert in_time.g.values == base.g.values
+        assert in_time.m.values == base.m.values
+        assert in_space.g.times == base.g.times
+        assert np.array_equal(np.array(in_space.g.values) / c, base.g.values)
+        assert np.array_equal(np.array(in_space.m.values) / c, base.m.values)

@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skorokhod2d.classify import ReflectionMatrix2
 from skorokhod2d.counterexample import build_counterexample
 from skorokhod2d.dyadic import Dyadic
 from skorokhod2d.errors import UsageError
-from skorokhod2d.paths import EXACT, FLOAT, PLPath2
+from skorokhod2d.paths import EXACT, FLOAT, PLPath2, scale_components
+from skorokhod2d.solver import SolveConfig, solve_fixed_point
 from skorokhod2d.verifier import (
     Sector,
     SolutionTriple,
@@ -115,6 +118,35 @@ def test_mismatched_time_domains_refused():
     g = PLPath2((0.0, 0.5), ((0.0, 1.0), (0.0, 1.0)), FLOAT)
     with pytest.raises(UsageError):
         verify(SolutionTriple(R, f, g, m), tol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def solved_and_raised():
+    R = ReflectionMatrix2(-0.6, 0.4)
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(201, 2)).cumsum(axis=0)
+    vals -= vals[0]
+    f = PLPath2(tuple(np.linspace(0.0, 1.0, 201)), tuple(map(tuple, vals)), FLOAT)
+    res = solve_fixed_point(R, f, SolveConfig(tol=1e-12))
+    # m1 and g jump by R (1e-3, 0) from breakpoint 100 on: g = f + R m still
+    # holds, but m1 now grows where g1 > 0
+    up = [1e-3 * (i >= 100) for i in range(len(res.m.times))]
+    m = PLPath2(res.m.times, tuple((v[0] + d, v[1]) for v, d in zip(res.m.values, up)))
+    g = PLPath2(res.g.times, tuple((v[0] + d, v[1] + 0.4 * d)
+                                   for v, d in zip(res.g.values, up)))
+    return SolutionTriple(R, f, res.g, res.m), SolutionTriple(R, f, g, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=1e-12, max_value=1e12))
+@example(1e-6)
+@example(1e-12)
+def test_verdict_invariant_under_space_scaling(solved_and_raised, c):
+    tol = 1e-9
+    for triple, verdict in zip(solved_and_raised, (True, False)):
+        assert verify(triple, tol).passed is verdict
+        paths = (scale_components(p, c, c) for p in (triple.f, triple.g, triple.m))
+        assert verify(SolutionTriple(triple.R, *paths), tol * c).passed is verdict
 
 
 def test_sector_partition_half_open():
