@@ -17,6 +17,9 @@ exactly (|a1| + 1, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
 from .classify import ReflectionMatrix2
 from .dyadic import Dyadic, to_dyadic
 from .errors import ConstructionError, ExactnessError, UsageError
@@ -115,15 +118,15 @@ def _guard_geometry(u: PLPath2, a1) -> None:
     """Line membership, relative to the terms summed, and exactly one changed
     coordinate per segment (the other is copied bit for bit). Both hold by
     construction; the guard protects against regressions when a1 != -2."""
-    for v in u.values:
-        terms = ((v[0], v[1]), (v[0], a1 * v[1]))  # u1 + u2 = 0 or u1 + a1 u2 = 0
-        if not any(negligible(x + y, max(abs(x), abs(y)), u.mode) for x, y in terms):
-            raise ConstructionError(f"breakpoint {v} lies on neither reference line")
-    for i in range(len(u.times) - 1):
-        d1 = u.values[i + 1][0] - u.values[i][0]
-        d2 = u.values[i + 1][1] - u.values[i][1]
-        if (d1 != 0) == (d2 != 0):
-            raise ConstructionError(f"segment {i} must change exactly one coordinate")
+    x1, x2 = u.x.T
+    on = [negligible(x1 + y, np.maximum(abs(x1), abs(y)), u.mode) for y in (x2, a1 * x2)]
+    off = np.nonzero(~(on[0] | on[1]))[0]  # u1 + u2 = 0 or u1 + a1 u2 = 0
+    if len(off):
+        raise ConstructionError(f"breakpoint {u.values[off[0]]} lies on neither reference line")
+    moved = np.diff(u.x, axis=0) != _coerce_scalar(0, u.mode)
+    both = np.nonzero(moved[:, 0] == moved[:, 1])[0]
+    if len(both):
+        raise ConstructionError(f"segment {both[0]} must change exactly one coordinate")
 
 
 def build_counterexample(a1, depth: int = 40, mode: str = "auto") -> CounterexampleBundle:
@@ -136,11 +139,11 @@ def build_counterexample(a1, depth: int = 40, mode: str = "auto") -> Counterexam
     base = jordan_decompose(u)
     # Offset by the split of u(t_depth) so that m - mbar = u exactly; the
     # offset mass is part of the tail the finite range cannot represent.
-    u0 = u.values[0]
-    m_off = (max(u0[0], zero), max(u0[1], zero))
-    mb_off = (max(-u0[0], zero), max(-u0[1], zero))
-    m = base.m.map_values(lambda v: (v[0] + m_off[0], v[1] + m_off[1]))
-    mbar = base.mbar.map_values(lambda v: (v[0] + mb_off[0], v[1] + mb_off[1]))
+    u0 = u.x[0]
+    m_off = np.where(u0 > zero, u0, zero)
+    mb_off = m_off - u0
+    m = PLPath2(u.t, base.m.x + m_off, use_mode)
+    mbar = PLPath2(u.t, base.mbar.x + mb_off, use_mode)
 
     rm = matrix_apply(R.a1, R.a2, m)
     rmbar = matrix_apply(R.a1, R.a2, mbar)

@@ -181,7 +181,9 @@ class Dyadic:
         return (ma > mb) - (ma < mb)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Dyadic, int, Fraction)) or isinstance(other, float):
+        if isinstance(other, Dyadic):  # canonical form: equal values, equal fields
+            return self.mantissa == other.mantissa and self.exp2 == other.exp2
+        if isinstance(other, (int, Fraction, float)):
             c = self._cmp(other)
             return c == 0 if c is not None else NotImplemented
         return NotImplemented

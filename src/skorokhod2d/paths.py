@@ -5,6 +5,13 @@ grid time, linearly interpolated in between. Every path is either in exact
 mode (all scalars Dyadic, no operation ever rounds) or float mode (IEEE
 doubles). The two modes never mix inside one path or one binary operation.
 
+A path keeps read-only arrays `t` (n,) and `x` (n, 2), float64 or Dyadic
+objects, and each operation is one piece of array code for both modes;
+`times` and `values` are tuple views of Python scalars, built on first use.
+Values between breakpoints come from v0 + (t - t0) * (v1 - v0) / (t1 - t0),
+sign changes from t0 + (t1 - t0) * d0 / (d0 - d1): exact in exact mode, or
+ExactnessError, as a Dyadic quotient is.
+
 Every float tolerance is FLOAT_DEDUP times a magnitude of the same units
 from the inputs; no absolute floor (`negligible`), so no result depends on the
 unit of time or space. Every grid decision goes through `merge_times`: each
@@ -15,7 +22,8 @@ breakpoint as a kept time, their difference negligible against max(|s|, |t|).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -30,6 +38,8 @@ FLOAT = "float"
 
 #: relative size below which a float quantity is negligible
 FLOAT_DEDUP = 2.0**-40
+
+_TO_DYADIC = np.frompyfunc(to_dyadic, 1, 1)
 
 
 def negligible(x, ref, mode: str):
@@ -50,70 +60,84 @@ def _coerce_scalar(x, mode: str) -> Scalar:
     return float(x)
 
 
-@dataclass(frozen=True)
+def _array(a, mode: str) -> np.ndarray:
+    """A new array of a's scalars: float64, or Dyadic objects in exact mode."""
+    return np.array(a, dtype=float) if mode == FLOAT else _TO_DYADIC(np.array(a, dtype=object))
+
+
+def _grid(times, mode: str) -> np.ndarray:
+    """A new nonempty, strictly increasing time array of the mode's scalars."""
+    t = _array(times, mode)
+    if t.ndim != 1 or not len(t):
+        raise UsageError("a time grid must be a nonempty sequence of times")
+    if not np.all(t[:-1] < t[1:]):
+        raise UsageError("times must be strictly increasing")
+    return t
+
+
+def _py(a):
+    """A numpy float as a Python float; Dyadic and Python scalars pass through."""
+    return a.item() if isinstance(a, np.generic) else a
+
+
 class PLPath2:
-    """Continuous piecewise-linear path t -> (x1, x2) on [times[0], times[-1]]."""
+    """Continuous piecewise-linear path t -> (x1, x2) on [t[0], t[-1]]."""
 
-    times: tuple
-    values: tuple
-    mode: str = FLOAT
+    def __init__(self, times, values, mode: str = FLOAT):
+        _check_mode(mode)
+        t, x = _grid(times, mode), _array(values, mode)
+        if x.shape != (len(t), 2):
+            raise UsageError("values must hold one (x1, x2) pair per time")
+        self._freeze(t, x, mode)
 
-    def __post_init__(self):
-        _check_mode(self.mode)
-        times = tuple(_coerce_scalar(t, self.mode) for t in self.times)
-        values = tuple(
-            (_coerce_scalar(v[0], self.mode), _coerce_scalar(v[1], self.mode))
-            for v in self.values
-        )
-        if len(times) != len(values) or not times:
-            raise UsageError("times and values must be equal-length and nonempty")
-        for a, b in zip(times, times[1:]):
-            if not a < b:
-                raise UsageError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+    @classmethod
+    def _of(cls, t: np.ndarray, x: np.ndarray, mode: str) -> "PLPath2":
+        """Path on arrays that already hold the mode's scalars on a valid grid."""
+        return cls.__new__(cls)._freeze(t, x, mode)
+
+    def _freeze(self, t, x, mode) -> "PLPath2":
+        t.flags.writeable = x.flags.writeable = False
+        self.t, self.x, self.mode = t, x, mode
+        return self
+
+    def __repr__(self) -> str:
+        return f"PLPath2({self.times!r}, {self.values!r}, {self.mode!r})"
 
     # --- basic queries ----------------------------------------------------
 
+    @cached_property
+    def times(self) -> tuple:
+        """The grid as a tuple of Python floats or Dyadic."""
+        return tuple(self.t.tolist())
+
+    @cached_property
+    def values(self) -> tuple:
+        """The points as a tuple of (x1, x2) pairs of Python floats or Dyadic."""
+        return tuple(map(tuple, self.x.tolist()))
+
     @property
     def start_time(self) -> Scalar:
-        return self.times[0]
+        return _py(self.t[0])
 
     @property
     def end_time(self) -> Scalar:
-        return self.times[-1]
+        return _py(self.t[-1])
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.t)
 
     def component(self, j: int) -> tuple:
-        return tuple(v[j] for v in self.values)
+        return tuple(self.x[:, j].tolist())
 
     def eval(self, t) -> Vec2:
         """Value at time t; exact linear interpolation between breakpoints."""
         t = _coerce_scalar(t, self.mode)
-        times = self.times
-        if t < times[0] or t > times[-1]:
-            raise DomainError(f"t={t} outside [{times[0]}, {times[-1]}]")
-        lo, hi = 0, len(times) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if times[mid] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        if times[lo] == t:
-            return self.values[lo]
-        return _interp(times[lo], times[lo + 1], self.values[lo], self.values[lo + 1], t, self.mode)
-
-    def segments(self) -> Iterable[tuple]:
-        """Yield (t0, t1, v0, v1) per linear piece."""
-        for i in range(len(self.times) - 1):
-            yield self.times[i], self.times[i + 1], self.values[i], self.values[i + 1]
-
-    def map_values(self, fn) -> "PLPath2":
-        """New path with the same grid and values fn((x1, x2)) -> (y1, y2)."""
-        return PLPath2(self.times, tuple(fn(v) for v in self.values), self.mode)
+        ts, x = self.t, self.x
+        if not ts[0] <= t <= ts[-1]:
+            raise DomainError(f"t={t} outside [{ts[0]}, {ts[-1]}]")
+        i = int(np.searchsorted(ts, t))  # ts[i - 1] < t <= ts[i]
+        v = x[i] if ts[i] == t else _interp(ts[i - 1], ts[i], x[i - 1], x[i], t)
+        return tuple(v.tolist())
 
 
 @dataclass(frozen=True)
@@ -124,16 +148,9 @@ class MonotoneDecomp:
     mbar: PLPath2
 
 
-def _interp(t0, t1, v0, v1, t, mode: str) -> Vec2:
-    if mode == FLOAT:
-        th = (t - t0) / (t1 - t0)
-        return (v0[0] + th * (v1[0] - v0[0]), v0[1] + th * (v1[1] - v0[1]))
-    th = (t.as_fraction() - t0.as_fraction()) / (t1.as_fraction() - t0.as_fraction())
-    out = []
-    for a, b in zip(v0, v1):
-        val = a.as_fraction() + th * (b.as_fraction() - a.as_fraction())
-        out.append(Dyadic.from_fraction(val))
-    return (out[0], out[1])
+def _interp(t0, t1, v0, v1, t):
+    """The one interpolation formula; elementwise on broadcastable arrays."""
+    return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
 
 
 # --- grid refinement -------------------------------------------------------
@@ -146,11 +163,16 @@ def merge_times(base: Sequence, *extras: Sequence, mode: str) -> list:
     joins unless it is the same breakpoint as a time already kept; extras
     are folded in order.
     """
+    return _merge(base, *extras, mode=mode).tolist()
+
+
+def _merge(base, *extras, mode: str) -> np.ndarray:
+    """`merge_times` as an array of the mode's scalars."""
     _check_mode(mode)
     merged = np.asarray(base, dtype=float) if mode == FLOAT else list(base)
     for extra in extras:
         merged = (_merge_float if mode == FLOAT else _merge_exact)(merged, extra)
-    return merged.tolist() if mode == FLOAT else merged
+    return np.asarray(merged, dtype=float if mode == FLOAT else object)
 
 
 def _merge_exact(base: list, extra: Sequence) -> list:
@@ -182,28 +204,43 @@ def _merge_float(b: np.ndarray, extra: Sequence) -> np.ndarray:
 
 
 def _times_equal(s, t, mode: str):
-    """The breakpoint rule's equality; elementwise on float arrays."""
+    """The breakpoint rule's equality; elementwise on arrays."""
     return negligible(t - s, np.maximum(abs(s), abs(t)), mode)
 
 
 def with_times(path: PLPath2, new_times: Sequence) -> PLPath2:
     """Re-grid a path onto an ascending superset of its breakpoint times; a
     time outside the domain must be the same breakpoint as the end it passes."""
-    times, vals, mode = path.times, path.values, path.mode
-    out, i = [], 0
-    for t in new_times:
-        if not times[0] <= t <= times[-1]:
-            end = times[0] if t < times[0] else times[-1]
-            if not _times_equal(end, t, mode):
-                raise DomainError(f"t={t} outside [{times[0]}, {times[-1]}]")
-            t = end
-        while times[i] < t:  # one walk: times are never hashed or bisected
+    return _regrid(path, _grid(new_times, path.mode))
+
+
+def _regrid(path: PLPath2, s: np.ndarray) -> PLPath2:
+    """`with_times` for a grid s that already holds the mode's scalars."""
+    t, x, mode = path.t, path.x, path.mode
+    c = s
+    if s[0] < t[0] or s[-1] > t[-1]:  # s ascends: only its ends can leave the domain
+        c = np.minimum(np.maximum(s, t[0]), t[-1])
+        off = np.nonzero(~_times_equal(c, s, mode))[0]
+        if len(off):
+            raise DomainError(f"t={s[off[0]]} outside [{t[0]}, {t[-1]}]")
+    # brackets t[i - 1] < c <= t[i]; in exact mode one walk, as a Dyadic
+    # comparison costs more than a step
+    i = np.searchsorted(t, c) if mode == FLOAT else _walk(t, c)
+    out = x[i]
+    k = np.nonzero(t[i] != c)[0]
+    j = i[k]
+    out[k] = _interp(t[j - 1, None], t[j, None], x[j - 1], x[j], c[k, None])
+    return PLPath2._of(s, out, mode)
+
+
+def _walk(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per ascending s inside [t[0], t[-1]], the first i with t[i] >= s."""
+    ts, out, i = t.tolist(), [], 0
+    for u in s.tolist():
+        while ts[i] < u:
             i += 1
-        if times[i] == t:
-            out.append(vals[i])
-        else:
-            out.append(_interp(times[i - 1], times[i], vals[i - 1], vals[i], t, mode))
-    return PLPath2(tuple(new_times), tuple(out), mode)
+        out.append(i)
+    return np.array(out, dtype=np.intp)
 
 
 def refine(*paths: PLPath2) -> tuple[PLPath2, ...]:
@@ -212,14 +249,14 @@ def refine(*paths: PLPath2) -> tuple[PLPath2, ...]:
     first = paths[0]
     for q in paths[1:]:
         _require_compatible(first, q)
-    grid = merge_times(first.times, *(q.times for q in paths[1:]), mode=first.mode)
-    return tuple(with_times(p, grid) for p in paths)
+    grid = _merge(first.t, *(q.t for q in paths[1:]), mode=first.mode)
+    return tuple(_regrid(p, grid) for p in paths)
 
 
 def _require_compatible(p: PLPath2, q: PLPath2) -> None:
     if p.mode != q.mode:
         raise UsageError(f"mode mismatch: {p.mode} vs {q.mode}")
-    ends = ((p.start_time, q.start_time), (p.end_time, q.end_time))
+    ends = ((p.t[0], q.t[0]), (p.t[-1], q.t[-1]))
     if not all(_times_equal(s, t, p.mode) for s, t in ends):
         raise UsageError("paths must share start and end times")
 
@@ -234,89 +271,61 @@ def jordan_decompose(u: PLPath2) -> MonotoneDecomp:
     wholly to mbar if negative, so m and mbar never increase together.
     """
     zero = _coerce_scalar(0, u.mode)
-    m_vals = [(zero, zero)]
-    mb_vals = [(zero, zero)]
-    for i in range(1, len(u.times)):
-        m_new, mb_new = [], []
-        for j in (0, 1):
-            d = u.values[i][j] - u.values[i - 1][j]
-            if d > zero:
-                m_new.append(m_vals[-1][j] + d)
-                mb_new.append(mb_vals[-1][j])
-            else:
-                m_new.append(m_vals[-1][j])
-                mb_new.append(mb_vals[-1][j] - d)
-        m_vals.append((m_new[0], m_new[1]))
-        mb_vals.append((mb_new[0], mb_new[1]))
-    return MonotoneDecomp(
-        PLPath2(u.times, tuple(m_vals), u.mode),
-        PLPath2(u.times, tuple(mb_vals), u.mode),
-    )
+    d = np.diff(u.x, axis=0)
+    up = np.where(d > zero, d, zero)
+    start = np.full((1, 2), zero, dtype=u.x.dtype)
+    m, mbar = (np.cumsum(np.concatenate([start, inc]), axis=0) for inc in (up, up - d))
+    return MonotoneDecomp(PLPath2._of(u.t, m, u.mode), PLPath2._of(u.t, mbar, u.mode))
 
 
 # --- lattice / linear operations ---------------------------------------------
 
 
-def _crossing_time(t0, t1, d0, d1, mode: str):
-    """Root of the linear function through (t0, d0), (t1, d1); strict sign change assumed."""
-    if mode == FLOAT:
-        return t0 + (t1 - t0) * (d0 / (d0 - d1))
-    th = d0.as_fraction() / (d0.as_fraction() - d1.as_fraction())
-    val = t0.as_fraction() + th * (t1.as_fraction() - t0.as_fraction())
-    return Dyadic.from_fraction(val)
+def _crossing_time(t0, t1, d0, d1):
+    """Root of the line through (t0, d0), (t1, d1); a strict sign change is assumed."""
+    return t0 + (t1 - t0) * d0 / (d0 - d1)
 
 
-def _insert_crossings(p: PLPath2, diffs: Sequence[Vec2]) -> list:
-    """p's grid plus the times where a diff coordinate strictly changes sign."""
+def _insert_crossings(p: PLPath2, d: np.ndarray) -> np.ndarray:
+    """p's grid plus the times where a column of d (a row per time) strictly
+    changes sign."""
     zero = _coerce_scalar(0, p.mode)
-    crossings: tuple = ([], [])  # one ascending list per coordinate
-    for i in range(len(p.times) - 1):
-        for j in (0, 1):
-            d0, d1 = diffs[i][j], diffs[i + 1][j]
-            if (d0 > zero and d1 < zero) or (d0 < zero and d1 > zero):
-                crossings[j].append(
-                    _crossing_time(p.times[i], p.times[i + 1], d0, d1, p.mode)
-                )
-    return merge_times(p.times, *crossings, mode=p.mode)
+    pos, neg = d > zero, d < zero
+    change = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
+    crossings = []  # one ascending array per coordinate
+    for j in (0, 1):
+        i = np.nonzero(change[:, j])[0]
+        crossings.append(_crossing_time(p.t[i], p.t[i + 1], d[i, j], d[i + 1, j]))
+    return _merge(p.t, *crossings, mode=p.mode)
 
 
 def path_min(p: PLPath2, q: PLPath2) -> PLPath2:
     """Componentwise min; inserts exact crossing breakpoints so result is PL."""
     p, q = refine(p, q)
-    diffs = [(a[0] - b[0], a[1] - b[1]) for a, b in zip(p.values, q.values)]
-    grid = _insert_crossings(p, diffs)
-    p, q = with_times(p, grid), with_times(q, grid)
-    vals = tuple((min(a[0], b[0]), min(a[1], b[1])) for a, b in zip(p.values, q.values))
-    return PLPath2(p.times, vals, p.mode)
+    grid = _insert_crossings(p, p.x - q.x)
+    p, q = _regrid(p, grid), _regrid(q, grid)
+    return PLPath2._of(grid, np.minimum(p.x, q.x), p.mode)
 
 
 def path_add(p: PLPath2, q: PLPath2) -> PLPath2:
     p, q = refine(p, q)
-    vals = tuple((a[0] + b[0], a[1] + b[1]) for a, b in zip(p.values, q.values))
-    return PLPath2(p.times, vals, p.mode)
+    return PLPath2._of(p.t, p.x + q.x, p.mode)
 
 
 def path_sub(p: PLPath2, q: PLPath2) -> PLPath2:
     p, q = refine(p, q)
-    vals = tuple((a[0] - b[0], a[1] - b[1]) for a, b in zip(p.values, q.values))
-    return PLPath2(p.times, vals, p.mode)
+    return PLPath2._of(p.t, p.x - q.x, p.mode)
 
 
 def negate(p: PLPath2) -> PLPath2:
-    return p.map_values(lambda v: (-v[0], -v[1]))
+    return PLPath2._of(p.t, -p.x, p.mode)
 
 
 def _part(p: PLPath2, sign: int) -> PLPath2:
     zero = _coerce_scalar(0, p.mode)
-    grid = _insert_crossings(p, p.values)
-    p = with_times(p, grid)
-
-    def clip(x):
-        if sign > 0:
-            return x if x > zero else zero
-        return -x if x < zero else zero
-
-    return p.map_values(lambda v: (clip(v[0]), clip(v[1])))
+    p = _regrid(p, _insert_crossings(p, p.x))
+    x = p.x if sign > 0 else -p.x
+    return PLPath2._of(p.t, np.where(x > zero, x, zero), p.mode)
 
 
 def plus_part(p: PLPath2) -> PLPath2:
@@ -333,13 +342,13 @@ def matrix_apply(a1, a2, p: PLPath2) -> PLPath2:
     """Image under R = [[1, a1], [a2, 1]], applied breakpoint-wise."""
     a1 = _coerce_scalar(a1, p.mode)
     a2 = _coerce_scalar(a2, p.mode)
-    return p.map_values(lambda v: (v[0] + a1 * v[1], a2 * v[0] + v[1]))
+    x1, x2 = p.x.T
+    return PLPath2._of(p.t, np.column_stack([x1 + a1 * x2, a2 * x1 + x2]), p.mode)
 
 
 def scale_components(p: PLPath2, c1, c2) -> PLPath2:
-    c1 = _coerce_scalar(c1, p.mode)
-    c2 = _coerce_scalar(c2, p.mode)
-    return p.map_values(lambda v: (c1 * v[0], c2 * v[1]))
+    c = np.array([_coerce_scalar(c1, p.mode), _coerce_scalar(c2, p.mode)], dtype=p.x.dtype)
+    return PLPath2._of(p.t, c * p.x, p.mode)
 
 
 # --- Stieltjes integration ---------------------------------------------------
@@ -348,34 +357,26 @@ def scale_components(p: PLPath2, c1, c2) -> PLPath2:
 def stieltjes(g: PLPath2, m: PLPath2, j: int) -> Scalar:
     """∫ g_j dm_j via the trapezoid rule, exact for PL integrand and integrator."""
     g, m = refine(g, m)
-    ref = max(abs(v[j]) for v in m.values)
-    for i in range(len(m.times) - 1):
-        dm = m.values[i + 1][j] - m.values[i][j]
-        if dm < 0 and not negligible(dm, ref, m.mode):
-            raise UsageError(f"integrator decreases on segment {i}")
+    dm = np.diff(m.x[:, j])
+    down = np.nonzero(dm < 0)[0]
+    down = down[~negligible(dm[down], np.max(abs(m.x[:, j])), m.mode)]
+    if len(down):
+        raise UsageError(f"integrator decreases on segment {down[0]}")
     return trapezoid(g, m, j)
 
 
 def trapezoid(g: PLPath2, m: PLPath2, j: int) -> Scalar:
     """Trapezoid sum of g_j dm_j over the grid that g and m already share."""
-    total = _coerce_scalar(0, g.mode)
-    for i in range(len(g.times) - 1):
-        dm = m.values[i + 1][j] - m.values[i][j]
-        total = total + (g.values[i][j] + g.values[i + 1][j]) * dm / 2
-    return total
+    gj = g.x[:, j]
+    terms = (gj[:-1] + gj[1:]) * np.diff(m.x[:, j]) / 2
+    return _py(np.sum(terms, initial=_coerce_scalar(0, g.mode)))
 
 
 def total_variation(p: PLPath2, j: int) -> Scalar:
-    zero = _coerce_scalar(0, p.mode)
-    tv = zero
-    for i in range(len(p.times) - 1):
-        tv = tv + abs(p.values[i + 1][j] - p.values[i][j])
-    return tv
+    return _py(np.sum(abs(np.diff(p.x[:, j])), initial=_coerce_scalar(0, p.mode)))
 
 
 def sup_distance(p: PLPath2, q: PLPath2) -> Scalar:
     """Sup-norm distance; exact for PL paths (attained at union breakpoints)."""
     p, q = refine(p, q)
-    return max(
-        max(abs(a[0] - b[0]), abs(a[1] - b[1])) for a, b in zip(p.values, q.values)
-    )
+    return _py(np.max(abs(p.x - q.x)))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import io
 from typing import Any
 
+import numpy as np
+
 from .classify import ReflectionMatrix2
 from .counterexample import CounterexampleBundle
 from .dyadic import Dyadic, to_dyadic
@@ -46,15 +48,15 @@ def scalar_from_json(obj: Any, mode: str):
         raise UsageError(f"malformed {mode} scalar: {obj!r}") from None
 
 
+_SCALARS_TO_JSON = np.frompyfunc(scalar_to_json, 2, 1)
+_SCALARS_FROM_JSON = np.frompyfunc(scalar_from_json, 2, 1)
+
+
 def path_to_json(p: PLPath2) -> dict:
-    return {
-        "mode": p.mode,
-        "times": [scalar_to_json(t, p.mode) for t in p.times],
-        "values": [
-            [scalar_to_json(v[0], p.mode), scalar_to_json(v[1], p.mode)]
-            for v in p.values
-        ],
-    }
+    def encode(a):  # float arrays are already JSON numbers
+        return (a if p.mode == FLOAT else _SCALARS_TO_JSON(a, p.mode)).tolist()
+
+    return {"mode": p.mode, "times": encode(p.t), "values": encode(p.x)}
 
 
 def path_from_json(obj: dict) -> PLPath2:
@@ -64,23 +66,28 @@ def path_from_json(obj: dict) -> PLPath2:
     values = _field(obj, "values", list)
     if not all(isinstance(v, list) and len(v) == 2 for v in values):
         raise UsageError("malformed 'values': each entry must be a pair")
-    return PLPath2(
-        tuple(scalar_from_json(t, mode) for t in _field(obj, "times", list)),
-        tuple((scalar_from_json(v[0], mode), scalar_from_json(v[1], mode)) for v in values),
-        mode,
-    )
+    return PLPath2(_decode(_field(obj, "times", list), mode), _decode(values, mode), mode)
+
+
+def _decode(items: list, mode: str) -> np.ndarray:
+    """One array conversion for a float field; scalar by scalar in exact mode,
+    or to name a malformed float entry (numpy reads a null as nan)."""
+    if mode == FLOAT:
+        try:
+            a = np.array(items, dtype=float)
+            if not np.isnan(a).any():
+                return a
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return _SCALARS_FROM_JSON(np.array(items, dtype=object), mode)
 
 
 def path_to_csv(p: PLPath2) -> str:
     """One row per breakpoint: t,x1,x2 (exact decimal strings in exact mode)."""
     buf = io.StringIO()
     buf.write("t,x1,x2\n")
-    for t, v in zip(p.times, p.values):
-        if p.mode == EXACT:
-            row = (t.to_decimal_string(), v[0].to_decimal_string(), v[1].to_decimal_string())
-        else:
-            row = (repr(t), repr(v[0]), repr(v[1]))
-        buf.write(",".join(row) + "\n")
+    for t, v in zip(p.t.tolist(), p.x.tolist()):
+        buf.write(",".join(map(str, (t, *v))) + "\n")  # str is repr for floats
     return buf.getvalue()
 
 

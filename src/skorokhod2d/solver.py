@@ -18,7 +18,7 @@ import numpy as np
 
 from .classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
 from .errors import StepInfeasibleError, UsageError
-from .paths import FLOAT, FLOAT_DEDUP, PLPath2, merge_times, negligible
+from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _merge, negligible, with_times
 
 
 @dataclass
@@ -59,26 +59,18 @@ def skorokhod_1d(h: np.ndarray) -> np.ndarray:
 
 def _grid_for(f: PLPath2, cfg: SolveConfig) -> np.ndarray:
     if cfg.grid is None:
-        return np.asarray(f.times, dtype=float)
+        return f.t
     # keep f's breakpoints so the sampled f is the exact path
-    grid = np.asarray(merge_times(f.times, cfg.grid, mode=FLOAT))
-    if grid[0] != f.start_time or grid[-1] != f.end_time:
+    grid = _merge(f.t, cfg.grid, mode=FLOAT)
+    if grid[0] != f.t[0] or grid[-1] != f.t[-1]:
         raise UsageError("grid reaches outside the driving path's time domain")
     return grid
-
-
-def _sample(f: PLPath2, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(f.times, dtype=float)
-    f1 = np.interp(grid, t, np.asarray(f.component(0), dtype=float))
-    f2 = np.interp(grid, t, np.asarray(f.component(1), dtype=float))
-    return f1, f2
 
 
 def _check_driving(f: PLPath2) -> None:
     if f.mode != FLOAT:
         raise UsageError("solvers run in float mode only")
-    v0 = f.values[0]
-    if v0[0] < 0 or v0[1] < 0:
+    if np.any(f.x[0] < 0):
         raise UsageError("driving function must have f(start) >= 0")
 
 
@@ -99,7 +91,7 @@ def solve_fixed_point(
     a1, a2 = float(R.a1), float(R.a2)
     lam = cfg.damping
     grid = _grid_for(f, cfg)
-    f1, f2 = _sample(f, grid)
+    f1, f2 = with_times(f, grid).x.T.copy()  # contiguous rows for the sweeps
 
     if init is not None:
         m1 = np.asarray(init[0], dtype=float).copy()
@@ -131,43 +123,40 @@ def solve_fixed_point(
         if not converged:
             break
         kinks = _kink_times(grid, (f1, f2), (m1, m2), (a1, a2), scale)
-        enriched = np.asarray(merge_times(grid, *kinks, mode=FLOAT))
+        enriched = _merge(grid, *kinks, mode=FLOAT)
         if len(enriched) == len(grid):
             break
-        f1, f2 = _sample(f, enriched)
-        m1 = np.interp(enriched, grid, m1)
-        m2 = np.interp(enriched, grid, m2)
+        f1, f2 = with_times(f, enriched).x.T.copy()
+        m1, m2 = with_times(PLPath2(grid, np.column_stack([m1, m2])), enriched).x.T.copy()
         grid = enriched
 
     g1 = f1 + m1 + a1 * m2
     g2 = f2 + a2 * m1 + m2
-    g_path = PLPath2(tuple(grid), tuple(zip(g1, g2)), FLOAT)
-    m_path = PLPath2(tuple(grid), tuple(zip(m1, m2)), FLOAT)
+    g_path = PLPath2(grid, np.column_stack([g1, g2]), FLOAT)
+    m_path = PLPath2(grid, np.column_stack([m1, m2]), FLOAT)
     return SolveResult(g_path, m_path, total_iters, converged, float(diff))
 
 
-def _kink_times(grid, fs, ms, coeffs, scale) -> list[list[float]]:
+def _kink_times(grid, fs, ms, coeffs, scale) -> list[np.ndarray]:
     """Per regulator, ascending times where it starts to rise inside a segment."""
     f1, f2 = fs
     m1, m2 = ms
     a1, a2 = coeffs
     g1 = f1 + m1 + a1 * m2
     g2 = f2 + a2 * m1 + m2
-    out: list[list[float]] = [[], []]
-    for m, g, kinks in ((m1, g1, out[0]), (m2, g2, out[1])):
+    out = []
+    for m, g in ((m1, g1), (m2, g2)):
         dm = np.diff(m)
         # a share of int g dm (value^2) above 1e-15 sup|f|^2: FLOAT_DEDUP loses kinks
-        contrib = 0.5 * (g[:-1] + g[1:]) * dm
-        for i in np.nonzero(contrib > 1e-15 * scale**2)[0]:
-            phi0 = g[i]
-            phi1 = g[i + 1] - dm[i]
-            if phi0 > 0 > phi1:
-                theta = phi0 / (phi0 - phi1)
-            else:
-                theta = 0.5
-            # kinks at a segment's ends would grow the grid every round without end
-            if 1e-9 < theta < 1 - 1e-9:
-                kinks.append(float(grid[i] + theta * (grid[i + 1] - grid[i])))
+        i = np.nonzero(0.5 * (g[:-1] + g[1:]) * dm > 1e-15 * scale**2)[0]
+        phi0, phi1 = g[i], g[i + 1] - dm[i]
+        cross = (phi0 > 0) & (0 > phi1)
+        theta = np.full(len(i), 0.5)
+        theta[cross] = phi0[cross] / (phi0[cross] - phi1[cross])
+        # kinks at a segment's ends would grow the grid every round without end
+        keep = (1e-9 < theta) & (theta < 1 - 1e-9)
+        i, theta = i[keep], theta[keep]
+        out.append(grid[i] + theta * (grid[i + 1] - grid[i]))
     return out
 
 
@@ -239,8 +228,9 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
         raise UsageError("grid solver requires a completely-S matrix")
     a1, a2 = float(R.a1), float(R.a2)
     grid = _grid_for(f, cfg)
-    f1, f2 = _sample(f, grid)
-    scale = max(float(np.max(np.abs(f1))), float(np.max(np.abs(f2))))
+    fg = with_times(f, grid)
+    scale = float(np.max(np.abs(fg.x)))
+    f1, f2 = fg.x.T.tolist()  # Python floats index faster in the marching loop
 
     times = [float(grid[0])]
     g_vals = [(max(f1[0], 0.0), max(f2[0], 0.0))]
@@ -281,6 +271,6 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
             g_vals.append((g1, g2))
             m_vals.append((mm1, mm2))
 
-    g_path = PLPath2(tuple(times), tuple(g_vals), FLOAT)
-    m_path = PLPath2(tuple(times), tuple(m_vals), FLOAT)
+    g_path = PLPath2(times, g_vals, FLOAT)
+    m_path = PLPath2(times, m_vals, FLOAT)
     return SolveResult(g_path, m_path, steps, True, 0.0)

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .classify import ReflectionMatrix2
 from .errors import UsageError
 from .paths import (
     FLOAT_DEDUP,
     PLPath2,
     Scalar,
+    _py,
     matrix_apply,
     path_sub,
     refine,
@@ -70,6 +73,11 @@ class VerificationReport:
         }
 
 
+def _check_tol(tol) -> None:
+    if tol < 0:
+        raise UsageError(f"tol must be nonnegative, got {tol}")
+
+
 def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationReport:
     """Per-condition residuals and verdict for a candidate solution.
 
@@ -77,20 +85,15 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
     The paths are checked on the union of their grids, which keeps every
     breakpoint of f; paths whose time domains differ are refused.
     """
+    _check_tol(tol)
     f, g, m = refine(triple.f, triple.g, triple.m)
     rm = matrix_apply(triple.R.a1, triple.R.a2, m)
 
-    eq_residual = max(
-        max(abs(gv[0] - fv[0] - rv[0]), abs(gv[1] - fv[1] - rv[1]))
-        for gv, fv, rv in zip(g.values, f.values, rm.values)
-    )
-    min_g = min(min(v[0], v[1]) for v in g.values)
-    m_start = max(abs(m.values[0][0]), abs(m.values[0][1]))
-    monotone_violation = min(
-        m.values[i + 1][j] - m.values[i][j]
-        for i in range(len(m.times) - 1)
-        for j in (0, 1)
-    ) if len(m.times) > 1 else m.values[0][0] - m.values[0][0]
+    eq_residual = np.max(abs(g.x - f.x - rm.x))
+    min_g = np.min(g.x)
+    m_start = np.max(abs(m.x[0]))
+    dm = np.diff(m.x, axis=0)
+    monotone_violation = np.min(dm) if len(dm) else m.x[0, 0] - m.x[0, 0]
 
     integrals = [trapezoid(g, m, j) for j in (0, 1)]
 
@@ -99,12 +102,8 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
 
     strict_ok: Optional[bool] = None
     if strict:
-        strict_ok = True
-        for i in range(len(m.times) - 1):
-            for j in (0, 1):
-                if m.values[i + 1][j] - m.values[i][j] > tol:
-                    if g.values[i][j] > tol or g.values[i + 1][j] > tol:
-                        strict_ok = False
+        # m may rise on a segment only where g is zero at both of its ends
+        strict_ok = not np.any((dm > tol) & ((g.x[:-1] > tol) | (g.x[1:] > tol)))
 
     start_budget = triple.tail_bound if triple.tail_bound is not None else tol
     passed = (
@@ -116,10 +115,10 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
         and (strict_ok is None or strict_ok)
     )
     return VerificationReport(
-        eq_residual=eq_residual,
-        min_g=min_g,
-        m_start=m_start,
-        monotone_violation=monotone_violation,
+        eq_residual=_py(eq_residual),
+        min_g=_py(min_g),
+        m_start=_py(m_start),
+        monotone_violation=_py(monotone_violation),
         comp_integrals=(integrals[0], integrals[1]),
         tail_bound=triple.tail_bound,
         tol=tol,
@@ -195,24 +194,19 @@ def compare_solutions(
     For a genuinely unique regime max_v should sit at the noise floor; for a
     non-uniqueness pair v grows and v_monotone_on_support is False.
     """
+    _check_tol(tol)
     if not _matrices_close(s1.R, s2.R, tol):
         raise UsageError("solutions use different reflection matrices")
     if sup_distance(s1.f, s2.f) > tol:
         raise UsageError("solutions have different driving functions")
     u = path_sub(s1.m, s2.m)
-    v = tuple(max(abs(x[0]), abs(x[1])) for x in u.values)
-    sectors = tuple(sector_of(x) for x in u.values)
-    monotone = True
-    for i in range(len(v) - 1):
-        if v[i] > tol and v[i + 1] > v[i] + tol:
-            monotone = False
-            break
+    v = np.max(abs(u.x), axis=1)
     return UniquenessDiagnostics(
         u=u,
-        v=v,
-        sector_sequence=sectors,
-        v_monotone_on_support=monotone,
-        max_v=max(v),
+        v=tuple(v.tolist()),
+        sector_sequence=tuple(sector_of(x) for x in u.values),
+        v_monotone_on_support=not np.any((v[:-1] > tol) & (v[1:] > v[:-1] + tol)),
+        max_v=_py(np.max(v)),
     )
 
 
@@ -236,19 +230,16 @@ def check_e2_signs(s1: SolutionTriple, s2: SolutionTriple, tol=0.0) -> E2Report:
     for s in (s1, s2):
         if not _matrices_close(s.R, canonical, max(tol, FLOAT_DEDUP)):
             raise UsageError("check_e2_signs requires R = [[1, -1], [1, 1]]")
-    u = path_sub(s1.m, s2.m)
-    worst = 0.0
-    for i in range(len(u.times) - 1):
-        a, b = u.values[i], u.values[i + 1]
-        mid1 = (float(a[0]) + float(b[0])) / 2
-        mid2 = (float(a[1]) + float(b[1])) / 2
-        du1 = float(b[0]) - float(a[0])
-        du2 = float(b[1]) - float(a[1])
-        segvar = abs(du1) + abs(du2)
-        budget = float(tol) * segvar
-        p1 = (mid1 + mid2) * du2
-        p2 = (mid1 - mid2) * du1
-        worst = max(worst, p1, p2)
-        if p1 > budget or p2 > budget:
-            return E2Report(False, first_violation=i, worst_product=worst)
+    u = path_sub(s1.m, s2.m).x.astype(float)
+    mid = (u[:-1] + u[1:]) / 2
+    du = np.diff(u, axis=0)
+    budget = float(tol) * (abs(du[:, 0]) + abs(du[:, 1]))
+    p1 = (mid[:, 0] + mid[:, 1]) * du[:, 1]
+    p2 = (mid[:, 0] - mid[:, 1]) * du[:, 0]
+    bad = np.nonzero((p1 > budget) | (p2 > budget))[0]
+    # the worst product up to the first violation, where the check stops
+    end = bad[0] + 1 if len(bad) else len(p1)
+    worst = float(np.max(np.maximum(p1, p2)[:end], initial=0.0))
+    if len(bad):
+        return E2Report(False, first_violation=int(bad[0]), worst_product=worst)
     return E2Report(True, worst_product=worst)

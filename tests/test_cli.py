@@ -179,3 +179,17 @@ def test_malformed_inputs_exit_2(tmp_path):
     assert run(["figure", "--depth", "8", "--min-time", "2", "--out", svg]) == 2
     fpath = write_driving_path(tmp_path)
     assert run(["solve", "--matrix=-0.5,0.5", "--f", str(fpath), "--grid-steps", "-3"]) == 2
+
+
+def test_negative_tol_exits_2(tmp_path, capsys):
+    out = tmp_path / "bundle.json"
+    assert run(["counterexample", "--a1", "-2", "--depth", "8", "--out", str(out)]) == 0
+    bundle = serialize.bundle_from_json(json.loads(out.read_text()))
+    triple_path = tmp_path / "triple.json"
+    triple_path.write_text(json.dumps(serialize.triple_to_json(bundle.triple())))
+    capsys.readouterr()
+    assert run(["verify", "--triple", str(triple_path), "--tol=-1"]) == 2
+    assert "tol must be nonnegative" in capsys.readouterr().err
+    t = str(triple_path)
+    assert run(["compare", "--s1", t, "--s2", t, "--tol=-1"]) == 2
+    assert "tol must be nonnegative" in capsys.readouterr().err

@@ -353,3 +353,27 @@ def test_refine_is_variadic_and_keeps_first_grid():
     out = refine(p, q, r)
     assert len(out) == 3
     assert all(x.times == (0.0, 0.25, 0.5, 1.0) for x in out)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_times_and_values_are_tuples_of_python_scalars(mode):
+    # callers compare grids with == and copy values with list(); both need
+    # plain tuples, never arrays
+    scalar = float if mode == FLOAT else Dyadic
+    p = PLPath2((0, 0.5, 1), ((0, 1), (2, -3), (-2, 5)), mode)  # dyadic crossings
+    derived = (
+        p,
+        path_min(p, path_sub(p, p)),
+        minus_part(p),
+        jordan_decompose(p).m,
+        with_times(p, [0, 0.25, 0.5, 1]),
+        serialize.path_from_json(json.loads(json.dumps(serialize.path_to_json(p)))),
+    )
+    for q in derived:
+        assert type(q.times) is tuple and all(type(t) is scalar for t in q.times)
+        assert type(q.values) is tuple
+        assert all(type(v) is tuple and len(v) == 2 for v in q.values)
+        assert all(type(x) is scalar for v in q.values for x in v)
+        assert type(q.times == p.times) is bool
+        assert type(q.values == p.values) is bool
+    assert derived[-1].times == p.times and derived[-1].values == p.values

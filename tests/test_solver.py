@@ -286,3 +286,27 @@ def test_solvers_commute_with_power_of_two_rescaling(a1, a2, seed, k):
         assert in_space.g.times == base.g.times
         assert np.array_equal(np.array(in_space.g.values) / c, base.g.values)
         assert np.array_equal(np.array(in_space.m.values) / c, base.m.values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrix_entries, matrix_entries, st.integers(min_value=0, max_value=2**31 - 1),
+       st.floats(min_value=-12, max_value=12))
+@example(-0.6, 0.4, 3, -12)
+@example(-0.6, 0.4, 3, 12)
+def test_solvers_commute_with_any_time_rescaling(a1, a2, seed, e):
+    # t -> c t rounds every breakpoint unless c is a power of two, so the
+    # rescaled solution, mapped back, agrees with the original only up to
+    # rounding: a relative 1e-9 of sup|f|
+    R = ReflectionMatrix2(a1, a2)
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, 201)
+    vals = rng.normal(size=(201, 2)).cumsum(axis=0)
+    vals -= vals[0]
+    c = 10.0**e
+    bound = 1e-9 * np.max(np.abs(vals))
+    for solver in (solve_fixed_point, solve_grid):
+        base = solver(R, float_path(ts, vals), SolveConfig(tol=1e-12))
+        scaled = solver(R, float_path(ts * c, vals), SolveConfig(tol=1e-12))
+        for p, q in ((base.g, scaled.g), (base.m, scaled.m)):
+            back = PLPath2(tuple(np.array(q.times) / c), q.values, FLOAT)
+            assert sup_distance(p, back) <= bound
