@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .dyadic import Dyadic, to_dyadic
-from .errors import InvalidMatrixError, UsageError
+from .errors import ExactnessError, InvalidMatrixError, UsageError
 from . import paths
 
 #: float-mode half-width of the band around |a1*a2| = 1 (unitless, so absolute)
@@ -114,11 +114,10 @@ def spectral_radius_abs_q(R: ReflectionMatrix2) -> RadiusResult:
     if isinstance(p, Fraction):
         try:
             root = Dyadic.from_fraction(abs(p)).sqrt_exact()
-        except Exception:
+        except ExactnessError:  # the radicand is not dyadic
             root = None
         if root is not None:
             return RadiusResult(root, True)
-        return RadiusResult(math.sqrt(abs(p)), False)
     return RadiusResult(math.sqrt(abs(p)), False)
 
 

@@ -2,7 +2,7 @@
 
 Paths are immutable: a strictly increasing time grid plus one plane point per
 grid time, linearly interpolated in between. Every path is either in exact
-mode (all scalars Dyadic, no operation ever rounds) or float mode (IEEE
+mode (all scalars Dyadic, no operation ever rounds) or float mode (finite IEEE
 doubles). The two modes never mix inside one path or one binary operation.
 
 A path keeps read-only arrays `t` (n,) and `x` (n, 2), float64 or Dyadic
@@ -61,8 +61,13 @@ def _coerce_scalar(x, mode: str) -> Scalar:
 
 
 def _array(a, mode: str) -> np.ndarray:
-    """A new array of a's scalars: float64, or Dyadic objects in exact mode."""
-    return np.array(a, dtype=float) if mode == FLOAT else _TO_DYADIC(np.array(a, dtype=object))
+    """A new array of a's scalars: finite float64, or Dyadic objects in exact mode."""
+    if mode == EXACT:
+        return _TO_DYADIC(np.array(a, dtype=object))
+    a = np.array(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise UsageError("float paths need finite times and values")
+    return a
 
 
 def _grid(times, mode: str) -> np.ndarray:

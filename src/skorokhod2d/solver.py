@@ -1,12 +1,14 @@
 """Numerical solvers: reflection-map Picard iteration and LCP time stepping.
 
-Both solvers work in float mode. The fixed-point solver iterates the
+Both solvers work in float mode and share one event step, `_march`: it
+marches one grid segment with a constant active set per sub-step, rates from
+a small complementarity problem by support enumeration, and a sub-step ending
+at the exact time where a slack coordinate of g reaches zero. The grid solver
+chains it over every segment. The fixed-point solver iterates the
 one-dimensional regulator map coordinate-wise (Gauss-Seidel sweeps, optional
-damping) and then inserts the complementarity kink times into the grid so the
-converged output is piecewise linear through the true solution's breakpoints.
-The grid solver marches in time: within each step the active set is constant,
-rates solve a small complementarity problem by support enumeration, and the
-step is subdivided at the exact times where a slack coordinate hits zero.
+damping) and then inserts the step's event times as kinks into the grid, so
+the converged output is piecewise linear through the true solution's
+breakpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
 from .errors import StepInfeasibleError, UsageError
-from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _merge, negligible, with_times
+from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _merge, with_times
 
 
 @dataclass
@@ -84,8 +86,10 @@ def solve_fixed_point(
 
     Geometric convergence when sqrt(|a1*a2|) < 1; damping < 1 extends the
     practical reach near the critical case without any convergence claim.
-    After convergence the grid is enriched with the kink times where each
-    regulator starts moving, so complementarity holds to machine precision.
+    After convergence the grid is enriched with kinks: on each segment where
+    a positive coordinate of g starts with its regulator rising, the marching
+    step from the converged state gives the times where g reaches zero, so
+    complementarity holds to machine precision.
     """
     _check_driving(f)
     a1, a2 = float(R.a1), float(R.a2)
@@ -93,19 +97,16 @@ def solve_fixed_point(
     grid = _grid_for(f, cfg)
     f1, f2 = with_times(f, grid).x.T.copy()  # contiguous rows for the sweeps
 
-    if init is not None:
-        m1 = np.asarray(init[0], dtype=float).copy()
-        m2 = np.asarray(init[1], dtype=float).copy()
-        if len(m1) != len(grid) or len(m2) != len(grid):
-            raise UsageError("init arrays must match the grid length")
-    else:
-        m1 = np.zeros_like(grid)
-        m2 = np.zeros_like(grid)
+    if init is None:
+        init = (np.zeros_like(grid),) * 2
+    m1, m2 = (np.array(m, dtype=float) for m in init)
+    if len(m1) != len(grid) or len(m2) != len(grid):
+        raise UsageError("init arrays must match the grid length")
 
     total_iters = 0
     converged = False
     diff = np.inf
-    scale = max(np.max(np.abs(f1)), np.max(np.abs(f2)))
+    eps = FLOAT_DEDUP * float(max(np.max(np.abs(f1)), np.max(np.abs(f2))))
 
     for _round in range(250):
         converged = False
@@ -122,12 +123,13 @@ def solve_fixed_point(
                 break
         if not converged:
             break
-        kinks = _kink_times(grid, (f1, f2), (m1, m2), (a1, a2), scale)
-        enriched = _merge(grid, *kinks, mode=FLOAT)
+        m = np.column_stack([m1, m2])
+        kinks = _kink_times(grid, np.column_stack([f1, f2]), m, a1, a2, eps)
+        enriched = _merge(grid, kinks, mode=FLOAT)
         if len(enriched) == len(grid):
             break
         f1, f2 = with_times(f, enriched).x.T.copy()
-        m1, m2 = with_times(PLPath2(grid, np.column_stack([m1, m2])), enriched).x.T.copy()
+        m1, m2 = with_times(PLPath2._of(grid, m, FLOAT), enriched).x.T.copy()
         grid = enriched
 
     g1 = f1 + m1 + a1 * m2
@@ -137,27 +139,19 @@ def solve_fixed_point(
     return SolveResult(g_path, m_path, total_iters, converged, float(diff))
 
 
-def _kink_times(grid, fs, ms, coeffs, scale) -> list[np.ndarray]:
-    """Per regulator, ascending times where it starts to rise inside a segment."""
-    f1, f2 = fs
-    m1, m2 = ms
-    a1, a2 = coeffs
-    g1 = f1 + m1 + a1 * m2
-    g2 = f2 + a2 * m1 + m2
-    out = []
-    for m, g in ((m1, g1), (m2, g2)):
-        dm = np.diff(m)
-        # a share of int g dm (value^2) above 1e-15 sup|f|^2: FLOAT_DEDUP loses kinks
-        i = np.nonzero(0.5 * (g[:-1] + g[1:]) * dm > 1e-15 * scale**2)[0]
-        phi0, phi1 = g[i], g[i + 1] - dm[i]
-        cross = (phi0 > 0) & (0 > phi1)
-        theta = np.full(len(i), 0.5)
-        theta[cross] = phi0[cross] / (phi0[cross] - phi1[cross])
-        # kinks at a segment's ends would grow the grid every round without end
-        keep = (1e-9 < theta) & (theta < 1 - 1e-9)
-        i, theta = i[keep], theta[keep]
-        out.append(grid[i] + theta * (grid[i + 1] - grid[i]))
-    return out
+def _kink_times(grid, f, m, a1, a2, eps) -> list:
+    """Interior event times of `_march`, ascending, on each segment where a
+    positive coordinate of g starts with its regulator rising."""
+    g = f + np.column_stack([m[:, 0] + a1 * m[:, 1], a2 * m[:, 0] + m[:, 1]])
+    k = np.nonzero(np.any((g[:-1] > eps) & (np.diff(m, axis=0) > 0), axis=1))[0]
+    slopes = (f[k + 1] - f[k]) / (grid[k + 1] - grid[k])[:, None]
+    segments = zip(k.tolist(), grid[k].tolist(), grid[k + 1].tolist(),
+                   np.maximum(g[k], 0.0).tolist(), slopes.tolist())
+    kinks = []
+    for ki, ta, tb, (g1, g2), (s1, s2) in segments:
+        steps = _march(a1, a2, eps, g1, g2, s1, s2, ta, tb, ki)
+        kinks.extend(step[0] for step in steps[:-1])
+    return kinks
 
 
 # --- discrete complementarity stepping ---------------------------------------
@@ -218,10 +212,8 @@ def lcp_step(
 def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResult:
     """Time-marching solver for any completely-S matrix.
 
-    Each grid step applies the rate complementarity problem for the current
-    active set and subdivides at the exact instants where a positive
-    coordinate of g reaches zero, so the output is the PL solution with its
-    true breakpoints (up to float rounding).
+    Chains the event step `_march` over the grid's segments, so the output
+    is the PL solution with its true breakpoints (up to float rounding).
     """
     _check_driving(f)
     if not is_completely_s(ReflectionMatrix2(float(R.a1), float(R.a2))):
@@ -229,48 +221,55 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
     a1, a2 = float(R.a1), float(R.a2)
     grid = _grid_for(f, cfg)
     fg = with_times(f, grid)
-    scale = float(np.max(np.abs(fg.x)))
+    eps = FLOAT_DEDUP * float(np.max(np.abs(fg.x)))
     f1, f2 = fg.x.T.tolist()  # Python floats index faster in the marching loop
+    ts = grid.tolist()
 
-    times = [float(grid[0])]
-    g_vals = [(max(f1[0], 0.0), max(f2[0], 0.0))]
-    m_vals = [(0.0, 0.0)]
-    steps = 0
-
-    for k in range(len(grid) - 1):
-        ta, tb = float(grid[k]), float(grid[k + 1])
+    g1, g2 = max(f1[0], 0.0), max(f2[0], 0.0)
+    mm1 = mm2 = 0.0
+    rows = [(ts[0], g1, g2, mm1, mm2)]  # (t, g1, g2, m1, m2) per breakpoint
+    for k in range(len(ts) - 1):
+        ta, tb = ts[k], ts[k + 1]
         s1 = (f1[k + 1] - f1[k]) / (tb - ta)
         s2 = (f2[k + 1] - f2[k]) / (tb - ta)
-        t = ta
-        g1, g2 = g_vals[-1]
-        mm1, mm2 = m_vals[-1]
-        events = 0
-        while t < tb:
-            events += 1
-            if events > 1000:
-                raise StepInfeasibleError("event cascade did not terminate", k)
-            active = (negligible(g1, scale, FLOAT), negligible(g2, scale, FLOAT))
-            # rates: only coordinates sitting at zero may push
-            rates = _lcp2(a1, a2, s1, s2, active)
-            if rates is None:
-                raise StepInfeasibleError("no admissible rate support", k)
-            (dm1, dm2), (gr1, gr2) = rates
-            # march to tb, or to the first zero of a positive coordinate
-            tau = tb - t
-            if not active[0] and gr1 < 0:
-                tau = min(tau, g1 / -gr1)
-            if not active[1] and gr2 < 0:
-                tau = min(tau, g2 / -gr2)
-            t = tb if tau == tb - t else min(t + tau, tb)
-            g1 = max(g1 + tau * gr1, 0.0) if gr1 < 0 else g1 + tau * gr1
-            g2 = max(g2 + tau * gr2, 0.0) if gr2 < 0 else g2 + tau * gr2
-            mm1 += tau * dm1
-            mm2 += tau * dm2
-            steps += 1
-            times.append(t)
-            g_vals.append((g1, g2))
-            m_vals.append((mm1, mm2))
+        for t, g1, g2, dm1, dm2 in _march(a1, a2, eps, g1, g2, s1, s2, ta, tb, k):
+            mm1 += dm1
+            mm2 += dm2
+            rows.append((t, g1, g2, mm1, mm2))
 
-    g_path = PLPath2(times, g_vals, FLOAT)
-    m_path = PLPath2(times, m_vals, FLOAT)
-    return SolveResult(g_path, m_path, steps, True, 0.0)
+    out = np.array(rows)
+    g_path = PLPath2(out[:, 0], out[:, 1:3], FLOAT)
+    m_path = PLPath2(out[:, 0], out[:, 3:], FLOAT)
+    return SolveResult(g_path, m_path, len(rows) - 1, True, 0.0)
+
+
+def _march(a1, a2, eps, g1, g2, s1, s2, ta, tb, k) -> list:
+    """The event step: march grid segment k = [ta, tb] from g = (g1, g2) >= 0
+    under the driving slope (s1, s2), as sub-steps (t, g1, g2, dm1, dm2)
+    ending at t, dm the regulator's increment over the sub-step.
+
+    Coordinates with |g_j| <= eps (eps = FLOAT_DEDUP * sup|f|, the
+    `negligible` rule) are active and only they may push; the
+    rates solve the 2x2 LCP for that active set, and a sub-step ends at tb or
+    at the first zero of a positive coordinate.
+    """
+    steps = []
+    t = ta
+    while t < tb:
+        if len(steps) == 1000:
+            raise StepInfeasibleError("event cascade did not terminate", k)
+        active = (abs(g1) <= eps, abs(g2) <= eps)
+        rates = _lcp2(a1, a2, s1, s2, active)
+        if rates is None:
+            raise StepInfeasibleError("no admissible rate support", k)
+        (r1, r2), (gr1, gr2) = rates
+        tau = tb - t
+        if not active[0] and gr1 < 0:
+            tau = min(tau, g1 / -gr1)
+        if not active[1] and gr2 < 0:
+            tau = min(tau, g2 / -gr2)
+        t = tb if tau == tb - t else min(t + tau, tb)
+        g1 = max(g1 + tau * gr1, 0.0) if gr1 < 0 else g1 + tau * gr1
+        g2 = max(g2 + tau * gr2, 0.0) if gr2 < 0 else g2 + tau * gr2
+        steps.append((t, g1, g2, tau * r1, tau * r2))
+    return steps

@@ -138,22 +138,29 @@ class Sector(Enum):
     Origin = "Origin"
 
 
-def sector_of(p) -> Sector:
-    """Half-open quadrant (rotated 45 degrees) containing a plane point.
+_SECTORS = np.array(list(Sector), dtype=object)  # N, E, S, W, Origin
+
+
+def _sectors(x: np.ndarray) -> tuple:
+    """Half-open quadrant (rotated 45 degrees) of each row of an (n, 2) array
+    of plane points, float64 or Dyadic.
 
     Each sector owns exactly one of its two boundary rays (its clockwise
     one), so every nonzero point belongs to exactly one sector.
     """
-    u1, u2 = p
-    if u2 > 0 and -u2 < u1 <= u2:
-        return Sector.N
-    if u1 > 0 and -u1 <= u2 < u1:
-        return Sector.E
-    if u2 < 0 and u2 <= u1 < -u2:
-        return Sector.S
-    if u1 < 0 and u1 < u2 <= -u1:
-        return Sector.W
-    return Sector.Origin
+    u1, u2 = x[:, 0], x[:, 1]
+    owned = [
+        (u2 > 0) & (-u2 < u1) & (u1 <= u2),  # N
+        (u1 > 0) & (-u1 <= u2) & (u2 < u1),  # E
+        (u2 < 0) & (u2 <= u1) & (u1 < -u2),  # S
+        (u1 < 0) & (u1 < u2) & (u2 <= -u1),  # W
+    ]
+    return tuple(_SECTORS[np.select(owned, [0, 1, 2, 3], 4)])
+
+
+def sector_of(p) -> Sector:
+    """`_sectors` of one plane point."""
+    return _sectors(np.array([p]))[0]
 
 
 # --- pairwise uniqueness diagnostics -----------------------------------------
@@ -204,7 +211,7 @@ def compare_solutions(
     return UniquenessDiagnostics(
         u=u,
         v=tuple(v.tolist()),
-        sector_sequence=tuple(sector_of(x) for x in u.values),
+        sector_sequence=_sectors(u.x),
         v_monotone_on_support=not np.any((v[:-1] > tol) & (v[1:] > v[:-1] + tol)),
         max_v=_py(np.max(v)),
     )

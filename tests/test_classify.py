@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -142,3 +143,10 @@ def test_radius_matches_definition(a1, a2):
     rad = spectral_radius_abs_q(R(a1, a2))
     expected = math.sqrt(abs(float(a1) * float(a2)))
     assert float(rad.value) == pytest.approx(expected, rel=1e-12)
+
+
+def test_radius_of_a_non_dyadic_radicand_is_a_flagged_float():
+    # sqrt(1/9) exists, but 1/9 is not dyadic: the exact route refuses it
+    rad = spectral_radius_abs_q(R(Fraction(1, 3), Fraction(1, 3)))
+    assert not rad.exact
+    assert rad.value == pytest.approx(1 / 3, rel=1e-15)

@@ -193,3 +193,25 @@ def test_negative_tol_exits_2(tmp_path, capsys):
     t = str(triple_path)
     assert run(["compare", "--s1", t, "--s2", t, "--tol=-1"]) == 2
     assert "tol must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["times", "values"])
+def test_non_finite_float_inputs_exit_2(tmp_path, capsys, bad, field):
+    # json writes NaN and Infinity tokens; a float path refuses them
+    f = serialize.path_from_json(json.loads(write_driving_path(tmp_path).read_text()))
+    doc = serialize.path_to_json(f)
+    if field == "times":
+        doc["times"][-1] = bad  # +inf there still looks strictly increasing
+    else:
+        doc["values"][3][1] = bad
+    fpath = tmp_path / "bad_f.json"
+    fpath.write_text(json.dumps(doc))
+    for method in ("fixed", "grid"):
+        assert run(["solve", "--matrix=-0.5,0.5", "--f", str(fpath), "--method", method]) == 2
+    triple = {"matrix": {"a1": -0.5, "a2": 0.5}, "f": serialize.path_to_json(f),
+              "g": serialize.path_to_json(f), "m": doc}
+    tpath = tmp_path / "bad_triple.json"
+    tpath.write_text(json.dumps(triple))
+    assert run(["verify", "--triple", str(tpath)]) == 2
+    assert capsys.readouterr().out == ""

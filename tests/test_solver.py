@@ -310,3 +310,62 @@ def test_solvers_commute_with_any_time_rescaling(a1, a2, seed, e):
         for p, q in ((base.g, scaled.g), (base.m, scaled.m)):
             back = PLPath2(tuple(np.array(q.times) / c), q.values, FLOAT)
             assert sup_distance(p, back) <= bound
+
+
+def _sample(path, times):
+    return np.column_stack([np.interp(times, path.t, path.x[:, j]) for j in (0, 1)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrix_entries, matrix_entries, st.integers(min_value=0, max_value=2**31 - 1))
+@example(-0.6, 0.4, 5)
+def test_solvers_commute_with_pl_time_change(a1, a2, seed):
+    # phi: [0, 1] -> [0, 1] increasing PL with 5 random interior breakpoints;
+    # the solution for f o phi, read through phi^-1, is the solution for f.
+    # Both are PL, so their sup distance is attained at a breakpoint of one
+    # of them; phi rounds, so they agree to a relative 1e-9 of sup|f|
+    R = ReflectionMatrix2(a1, a2)
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, 41)
+    vals = rng.normal(size=(41, 2)).cumsum(axis=0)
+    vals -= vals[0]
+    s_phi = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, 6))])
+    t_phi = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, 6))])
+    s_phi, t_phi = s_phi / s_phi[-1], t_phi / t_phi[-1]
+    s_grid = np.union1d(np.interp(ts, t_phi, s_phi), s_phi)
+    f = float_path(ts, vals)
+    f_phi = PLPath2(s_grid, _sample(f, np.interp(s_grid, s_phi, t_phi)), FLOAT)
+    bound = 1e-9 * np.max(np.abs(vals))
+    for solver in (solve_fixed_point, solve_grid):
+        base = solver(R, f, SolveConfig(tol=1e-12))
+        changed = solver(R, f_phi, SolveConfig(tol=1e-12))
+        for p, q in ((base.g, changed.g), (base.m, changed.m)):
+            assert np.max(np.abs(p.x - _sample(q, np.interp(p.t, t_phi, s_phi)))) <= bound
+            assert np.max(np.abs(q.x - _sample(p, np.interp(q.t, s_phi, t_phi)))) <= bound
+
+
+def corner_walk(seed, n=200, amp=0.02, drift=5.0):
+    # a small random walk pulled into the corner by 5t * (1, 1): both
+    # regulators switch on and off at many points inside grid segments
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, n + 1)
+    vals = np.vstack([np.zeros((1, 2)), np.cumsum(rng.normal(size=(n, 2)) * amp / np.sqrt(n), axis=0)])
+    vals -= drift * ts[:, None]
+    vals[0] = np.maximum(vals[0], 0.0)
+    return PLPath2(ts, vals, FLOAT)
+
+
+@pytest.mark.parametrize("a", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_point_kinks_match_grid_solver_breakpoints(a, seed):
+    # the fixed-point kinks come from the marching solver's event step, so
+    # both solvers find the same breakpoints and the same regulator
+    f = corner_walk(seed)
+    sup = float(np.max(np.abs(f.x)))
+    R = ReflectionMatrix2(a, -a)
+    cfg = SolveConfig(tol=1e-12 * sup)
+    fixed = solve_fixed_point(R, f, cfg)
+    grid = solve_grid(R, f, cfg)
+    assert fixed.converged
+    assert len(fixed.m) <= 1.5 * len(grid.m)
+    assert sup_distance(fixed.m, grid.m) <= 1e-11 * sup

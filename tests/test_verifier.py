@@ -210,3 +210,43 @@ def test_e2_sign_check_on_canonical_pair():
     rep2 = check_e2_signs(SolutionTriple(R, f, g, m3), SolutionTriple(R, f, g, m4))
     assert not rep2.ok
     assert rep2.first_violation == 0
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_compare_sectors_on_the_boundary_rays(mode):
+    # the difference path sits at the origin, then on the eight boundary
+    # rays of test_sector_partition_half_open, each owned by one sector
+    points = [(0, 0), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1)]
+    times = range(len(points))
+    u = PLPath2(times, points, mode)
+    zero = PLPath2(times, [(0, 0)] * len(points), mode)
+    R = ReflectionMatrix2(0, 0)
+    diag = compare_solutions(SolutionTriple(R, zero, zero, u), SolutionTriple(R, zero, zero, zero), tol=0)
+    assert diag.sector_sequence == (Sector.Origin, Sector.N, Sector.N, Sector.E, Sector.E,
+                                    Sector.S, Sector.S, Sector.W, Sector.W)
+
+
+def scalar_sector(u1, u2):
+    # reference: the half-open rule one point at a time
+    if u2 > 0 and -u2 < u1 <= u2:
+        return Sector.N
+    if u1 > 0 and -u1 <= u2 < u1:
+        return Sector.E
+    if u2 < 0 and u2 <= u1 < -u2:
+        return Sector.S
+    if u1 < 0 and u1 < u2 <= -u1:
+        return Sector.W
+    return Sector.Origin
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_compare_sectors_match_the_scalar_rule(mode):
+    # a lattice walk through every ray and sector, and random float points
+    points = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    if mode == FLOAT:
+        points += [tuple(p) for p in np.random.default_rng(0).normal(size=(200, 2))]
+    u = PLPath2(range(len(points)), points, mode)
+    zero = PLPath2(u.t, np.zeros((len(points), 2), dtype=int), mode)
+    R = ReflectionMatrix2(0, 0)
+    diag = compare_solutions(SolutionTriple(R, zero, zero, u), SolutionTriple(R, zero, zero, zero), tol=0)
+    assert diag.sector_sequence == tuple(scalar_sector(*p) for p in u.values)
