@@ -27,6 +27,7 @@ from .counterexample import (
 from .dyadic import Dyadic, parse_exact, to_dyadic
 from .errors import (
     ConstructionError,
+    DivergenceError,
     DomainError,
     ExactnessError,
     InvalidMatrixError,

@@ -21,6 +21,7 @@ from .counterexample import build_counterexample, check_identities, solution_gap
 from .dyadic import Dyadic
 from .errors import (
     ConstructionError,
+    DivergenceError,
     DomainError,
     ExactnessError,
     InvalidMatrixError,
@@ -37,6 +38,7 @@ _PKG_ERRORS = (
     DomainError,
     InvalidMatrixError,
     ConstructionError,
+    DivergenceError,
     ExactnessError,
     StepInfeasibleError,
     OSError,

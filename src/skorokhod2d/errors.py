@@ -27,3 +27,15 @@ class StepInfeasibleError(RuntimeError):
     def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
+
+
+class DivergenceError(ArithmeticError):
+    """The fixed-point sweeps overflowed: the iteration diverges, as it can for
+    a matrix that is not completely-S."""
+
+    def __init__(self, round_index: int, sweep: int):
+        super().__init__(
+            f"fixed-point iteration diverged: overflow in sweep {sweep} (round {round_index})"
+        )
+        self.round_index = round_index
+        self.sweep = sweep

@@ -1,14 +1,19 @@
 """Numerical solvers: reflection-map Picard iteration and LCP time stepping.
 
 Both solvers work in float mode and share one event step, `_march`: it
-marches one grid segment with a constant active set per sub-step, rates from
-a small complementarity problem by support enumeration, and a sub-step ending
-at the exact time where a slack coordinate of g reaches zero. The grid solver
-chains it over every segment. The fixed-point solver iterates the
+marches one grid segment with a constant active set per sub-step, and a
+sub-step ends at the exact time where a slack coordinate of g reaches zero.
+Its rates come from one support rule for the small complementarity problem,
+`_lcp2`, which runs as array code over all segments once per active pattern
+(`_Rates`), so a sub-step reads its segment's row. The grid solver chains
+the step over the segments. Where the active set has held for RUN_GATE
+segments, it advances the next ones as a run: array code that gives the same
+bits as the chain and hands the first segment with an event, a clip at 0 or
+inadmissible rates back to `_march`. The fixed-point solver iterates the
 one-dimensional regulator map coordinate-wise (Gauss-Seidel sweeps, optional
-damping) and then inserts the step's event times as kinks into the grid, so
-the converged output is piecewise linear through the true solution's
-breakpoints.
+damping; an overflow raises `DivergenceError`) and then inserts the step's
+event times as kinks into the grid, so the converged output is piecewise
+linear through the true solution's breakpoints.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
-from .errors import StepInfeasibleError, UsageError
+from .errors import DivergenceError, StepInfeasibleError, UsageError
 from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _merge, with_times
 
 
@@ -108,19 +113,22 @@ def solve_fixed_point(
     diff = np.inf
     eps = FLOAT_DEDUP * float(max(np.max(np.abs(f1)), np.max(np.abs(f2))))
 
-    for _round in range(250):
+    for round_index in range(1, 251):
         converged = False
-        for _ in range(cfg.max_iter):
-            total_iters += 1
-            m1_new = (1 - lam) * m1 + lam * skorokhod_1d(f1 + a1 * m2)
-            m2_new = (1 - lam) * m2 + lam * skorokhod_1d(f2 + a2 * m1_new)
-            diff = max(
-                float(np.max(np.abs(m1_new - m1))), float(np.max(np.abs(m2_new - m2)))
-            )
-            m1, m2 = m1_new, m2_new
-            if diff < cfg.tol:
-                converged = True
-                break
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for _ in range(cfg.max_iter):
+                    total_iters += 1
+                    m1_new = (1 - lam) * m1 + lam * skorokhod_1d(f1 + a1 * m2)
+                    m2_new = (1 - lam) * m2 + lam * skorokhod_1d(f2 + a2 * m1_new)
+                    diff = max(float(np.max(np.abs(m1_new - m1))),
+                               float(np.max(np.abs(m2_new - m2))))
+                    m1, m2 = m1_new, m2_new
+                    if diff < cfg.tol:
+                        converged = True
+                        break
+        except FloatingPointError:
+            raise DivergenceError(round_index, total_iters) from None
         if not converged:
             break
         m = np.column_stack([m1, m2])
@@ -144,12 +152,12 @@ def _kink_times(grid, f, m, a1, a2, eps) -> list:
     positive coordinate of g starts with its regulator rising."""
     g = f + np.column_stack([m[:, 0] + a1 * m[:, 1], a2 * m[:, 0] + m[:, 1]])
     k = np.nonzero(np.any((g[:-1] > eps) & (np.diff(m, axis=0) > 0), axis=1))[0]
-    slopes = (f[k + 1] - f[k]) / (grid[k + 1] - grid[k])[:, None]
+    rates = _Rates(a1, a2, (f[k + 1] - f[k]) / (grid[k + 1] - grid[k])[:, None])
     segments = zip(k.tolist(), grid[k].tolist(), grid[k + 1].tolist(),
-                   np.maximum(g[k], 0.0).tolist(), slopes.tolist())
+                   np.maximum(g[k], 0.0).tolist())
     kinks = []
-    for ki, ta, tb, (g1, g2), (s1, s2) in segments:
-        steps = _march(a1, a2, eps, g1, g2, s1, s2, ta, tb, ki)
+    for i, (ki, ta, tb, (g1, g2)) in enumerate(segments):
+        steps = _march(rates, eps, g1, g2, ta, tb, i, ki)
         kinks.extend(step[0] for step in steps[:-1])
     return kinks
 
@@ -157,56 +165,87 @@ def _kink_times(grid, f, m, a1, a2, eps) -> list:
 # --- discrete complementarity stepping ---------------------------------------
 
 
-def _lcp2(a1: float, a2: float, q1: float, q2: float, pushable=(True, True)):
-    """Support enumeration for the 2x2 LCP w = q + R z, z >= 0, z_j w_j = 0.
+def _lcp2(a1: float, a2: float, q1: np.ndarray, q2: np.ndarray, pushable):
+    """Support enumeration for the 2x2 LCP w = q + R z, z >= 0, z_j w_j = 0,
+    one problem per entry of the arrays q1, q2.
 
     Only pushable coordinates may enter the support, and only they need
-    w_j >= 0; the others keep z_j = 0 and an unconstrained w_j. Ties break to
-    the smallest support, then the lexicographically smallest z. Returns
-    (z, w) with z clipped at 0, or None if no support is admissible.
+    w_j >= 0; the others keep z_j = 0 and an unconstrained w_j. Admissibility
+    allows FLOAT_DEDUP * max(|q1|, |q2|) of slack. Ties break to the smallest
+    support, then the lexicographically smallest z. Returns (z, w, ok), z and
+    w of shape (n, 2) with z clipped at 0, and ok False where no support is
+    admissible.
     """
-    candidates = [(0, (0.0, 0.0), (q1, q2))]
+    zero = np.zeros_like(q1)
+    candidates = [(0, (zero, zero), (q1, q2))]
     if pushable[0]:
-        candidates.append((1, (-q1, 0.0), (0.0, q2 + a2 * -q1)))
+        candidates.append((1, (-q1, zero), (zero, q2 + a2 * -q1)))
     if pushable[1]:
-        candidates.append((1, (0.0, -q2), (q1 + a1 * -q2, 0.0)))
+        candidates.append((1, (zero, -q2), (q1 + a1 * -q2, zero)))
     det = 1.0 - a1 * a2
     # a1*a2 within the critical band of 1: the full support is singular
     if pushable[0] and pushable[1] and abs(det) > CRITICAL_BAND:
         z = ((-q1 + a1 * q2) / det, (-q2 + a2 * q1) / det)
-        candidates.append((2, z, (0.0, 0.0)))
-    slack = FLOAT_DEDUP * max(abs(q1), abs(q2))
-    best = None
-    for cand in candidates:
-        _, z, w = cand
-        if min(z) < -slack or any(p and wj < -slack for p, wj in zip(pushable, w)):
-            continue
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    if best is None:
-        return None
-    _, z, w = best
-    return (max(z[0], 0.0), max(z[1], 0.0)), w
+        candidates.append((2, z, (zero, zero)))
+    floor = -FLOAT_DEDUP * np.maximum(np.abs(q1), np.abs(q2))
+    ok = np.zeros(len(q1), dtype=bool)
+    size, z1, z2, w1, w2 = 0, zero, zero, zero, zero
+    for n, (c1, c2), (v1, v2) in candidates:  # by support size
+        admissible = (c1 >= floor) & (c2 >= floor)
+        for p, v in zip(pushable, (v1, v2)):
+            if p:
+                admissible &= v >= floor
+        smaller = (n == size) & ((c1 < z1) | (c1 == z1) & (c2 < z2))
+        take = admissible & (~ok | smaller)
+        size = np.where(take, n, size)
+        z1, z2, w1, w2 = (np.where(take, c, b) for c, b in
+                          ((c1, z1), (c2, z2), (v1, w1), (v2, w2)))
+        ok |= take
+    z = np.column_stack([z1, z2])
+    return np.where(z < 0.0, 0.0, z), np.column_stack([w1, w2]), ok
 
 
 def lcp_step(
     R: ReflectionMatrix2, g_prev, delta_f
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """One complementarity step: find dm >= 0 with g_next = g_prev + df + R dm >= 0
-    and dm complementary to g_next, by enumerating the four support sets.
+    and dm complementary to g_next: `_lcp2` on one row, both coordinates
+    pushable.
 
-    Both coordinates may push; ties (possible for completely-S but non-P
-    matrices) break to the smallest support, then the lexicographically
-    smallest dm. Admissibility allows FLOAT_DEDUP * max(|g_prev + df|) of
-    slack, and the returned g and dm are clipped at 0.
+    Ties (possible for completely-S but non-P matrices) break to the smallest
+    support, then the lexicographically smallest dm. Admissibility allows
+    FLOAT_DEDUP * max(|g_prev + df|) of slack, and the returned g and dm are
+    clipped at 0.
     """
     q1 = float(g_prev[0]) + float(delta_f[0])
     q2 = float(g_prev[1]) + float(delta_f[1])
-    step = _lcp2(float(R.a1), float(R.a2), q1, q2)
-    if step is None:
+    z, w, ok = _lcp2(float(R.a1), float(R.a2), np.array([q1]), np.array([q2]), (True, True))
+    if not ok[0]:
         raise StepInfeasibleError("no admissible support set")
-    dm, g = step
-    return (max(g[0], 0.0), max(g[1], 0.0)), dm
+    g1, g2 = w[0].tolist()
+    return (max(g1, 0.0), max(g2, 0.0)), tuple(z[0].tolist())
+
+
+class _Rates(dict):
+    """Active pattern -> (zw, ok): `_lcp2` on the driving slopes of every
+    segment with the pattern's coordinates pushable, built on first use. Row
+    k of zw is (r1, r2, gr1, gr2), the rates of m and of g on segment k, and
+    ok[k] is False where no support is admissible."""
+
+    def __init__(self, a1: float, a2: float, slopes: np.ndarray):
+        super().__init__()
+        self.a1, self.a2, self.slopes = a1, a2, slopes
+
+    def __missing__(self, active):
+        z, w, ok = _lcp2(self.a1, self.a2, self.slopes[:, 0], self.slopes[:, 1], active)
+        table = self[active] = (np.hstack([z, w]), ok)
+        return table
+
+
+#: segments in a row that `_march` takes in one sub-step under one active set
+#: before `solve_grid` tries a run; on drivers whose active set changes every
+#: few segments, runs cost more than they save
+RUN_GATE = 16
 
 
 def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResult:
@@ -214,44 +253,89 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
 
     Chains the event step `_march` over the grid's segments, so the output
     is the PL solution with its true breakpoints (up to float rounding).
+    After RUN_GATE segments in a row of one sub-step under one active set,
+    the next segments go as a run (`_run`): array code that takes the
+    segments `_march` would take in one sub-step, with the same bits. The
+    run's window starts at the streak's length and doubles while every
+    segment in it is quiet, so the work stays linear; the first segment
+    that is not quiet goes back to `_march`.
     """
     _check_driving(f)
     if not is_completely_s(ReflectionMatrix2(float(R.a1), float(R.a2))):
         raise UsageError("grid solver requires a completely-S matrix")
-    a1, a2 = float(R.a1), float(R.a2)
     grid = _grid_for(f, cfg)
-    fg = with_times(f, grid)
-    eps = FLOAT_DEDUP * float(np.max(np.abs(fg.x)))
-    f1, f2 = fg.x.T.tolist()  # Python floats index faster in the marching loop
-    ts = grid.tolist()
+    x = with_times(f, grid).x
+    eps = FLOAT_DEDUP * float(np.max(np.abs(x)))
+    rates = _Rates(float(R.a1), float(R.a2), np.diff(x, axis=0) / np.diff(grid)[:, None])
+    ts = grid.tolist()  # Python floats index faster in the marching loop
 
-    g1, g2 = max(f1[0], 0.0), max(f2[0], 0.0)
-    mm1 = mm2 = 0.0
-    rows = [(ts[0], g1, g2, mm1, mm2)]  # (t, g1, g2, m1, m2) per breakpoint
-    for k in range(len(ts) - 1):
-        ta, tb = ts[k], ts[k + 1]
-        s1 = (f1[k + 1] - f1[k]) / (tb - ta)
-        s2 = (f2[k + 1] - f2[k]) / (tb - ta)
-        for t, g1, g2, dm1, dm2 in _march(a1, a2, eps, g1, g2, s1, s2, ta, tb, k):
-            mm1 += dm1
-            mm2 += dm2
-            rows.append((t, g1, g2, mm1, mm2))
+    g1, g2 = max(float(x[0, 0]), 0.0), max(float(x[0, 1]), 0.0)
+    m1 = m2 = 0.0
+    rows = [(ts[0], g1, g2, m1, m2)]  # (t, g1, g2, m1, m2) per breakpoint
+    blocks = []  # rows and run blocks, in order
+    k = streak = 0
+    while k < len(ts) - 1:
+        active = (abs(g1) <= eps, abs(g2) <= eps)
+        if streak >= RUN_GATE:
+            hi = min(k + streak, len(ts) - 1)
+            run = _run(rates[active], grid, eps, active, (g1, g2), (m1, m2), k, hi)
+            if len(run):
+                blocks += [np.array(rows).reshape(-1, 5), run]
+                rows = []
+                g1, g2, m1, m2 = run[-1, 1:].tolist()
+                k += len(run)
+            streak = streak + len(run) if k == hi else 0
+            continue
+        steps = _march(rates, eps, g1, g2, ts[k], ts[k + 1], k, k)
+        for t, g1, g2, dm1, dm2 in steps:
+            m1 += dm1
+            m2 += dm2
+            rows.append((t, g1, g2, m1, m2))
+        held = len(steps) == 1 and (abs(g1) <= eps, abs(g2) <= eps) == active
+        streak = streak + 1 if held else 0
+        k += 1
 
-    out = np.array(rows)
+    out = np.concatenate(blocks + [np.array(rows).reshape(-1, 5)])
     g_path = PLPath2(out[:, 0], out[:, 1:3], FLOAT)
     m_path = PLPath2(out[:, 0], out[:, 3:], FLOAT)
-    return SolveResult(g_path, m_path, len(rows) - 1, True, 0.0)
+    return SolveResult(g_path, m_path, len(out) - 1, True, 0.0)
 
 
-def _march(a1, a2, eps, g1, g2, s1, s2, ta, tb, k) -> list:
-    """The event step: march grid segment k = [ta, tb] from g = (g1, g2) >= 0
-    under the driving slope (s1, s2), as sub-steps (t, g1, g2, dm1, dm2)
+def _run(table, grid, eps, active, g, m, lo, hi) -> np.ndarray:
+    """Rows (t, g1, g2, m1, m2) at the ends of segments lo, lo + 1, ... < hi
+    from the state g, m at grid[lo], up to the first segment that `_march`
+    would not take in one quiet sub-step under `active`: its active set
+    differs, its rates are inadmissible, a slack coordinate reaches zero in
+    it, or the clip at 0 applies. g and m are the `np.cumsum` of the
+    sub-steps' increments, which adds in order like `_march`'s chain.
+    """
+    zw, ok = table
+    dt = np.diff(grid[lo:hi + 1])[:, None]
+    w = zw[lo:hi, 2:]
+    gs = np.cumsum(np.vstack([g, dt * w]), axis=0)
+    falling = w < 0
+    reach = np.full_like(w, np.inf)
+    with np.errstate(over="ignore"):  # an overflow is a reach beyond the segment
+        np.divide(gs[:-1], -w, out=reach, where=falling & ~np.array(active))
+    quiet = (ok[lo:hi]
+             & np.all((np.abs(gs[:-1]) <= eps) == active, axis=1)
+             & np.all(reach >= dt, axis=1)
+             & ~np.any(falling & (gs[1:] < 0), axis=1))
+    q = int(np.argmin(quiet)) if not quiet.all() else hi - lo
+    ms = np.cumsum(np.vstack([m, dt[:q] * zw[lo:lo + q, :2]]), axis=0)
+    return np.column_stack([grid[lo + 1:lo + q + 1], gs[1:q + 1], ms[1:]])
+
+
+def _march(rates: _Rates, eps, g1, g2, ta, tb, i, k) -> list:
+    """The event step: march grid segment k = [ta, tb] from g = (g1, g2) >= 0,
+    with its rates in row i of `rates`, as sub-steps (t, g1, g2, dm1, dm2)
     ending at t, dm the regulator's increment over the sub-step.
 
     Coordinates with |g_j| <= eps (eps = FLOAT_DEDUP * sup|f|, the
-    `negligible` rule) are active and only they may push; the
-    rates solve the 2x2 LCP for that active set, and a sub-step ends at tb or
-    at the first zero of a positive coordinate.
+    `negligible` rule) are active and only they may push; the rates are the
+    row of the table for that active set, and a sub-step ends at tb or at the
+    first zero of a positive coordinate. `solve_grid` calls it on every
+    segment outside its runs, `_kink_times` on the segments it examines.
     """
     steps = []
     t = ta
@@ -259,10 +343,10 @@ def _march(a1, a2, eps, g1, g2, s1, s2, ta, tb, k) -> list:
         if len(steps) == 1000:
             raise StepInfeasibleError("event cascade did not terminate", k)
         active = (abs(g1) <= eps, abs(g2) <= eps)
-        rates = _lcp2(a1, a2, s1, s2, active)
-        if rates is None:
+        zw, ok = rates[active]
+        if not ok[i]:
             raise StepInfeasibleError("no admissible rate support", k)
-        (r1, r2), (gr1, gr2) = rates
+        r1, r2, gr1, gr2 = zw[i].tolist()
         tau = tb - t
         if not active[0] and gr1 < 0:
             tau = min(tau, g1 / -gr1)

@@ -215,3 +215,12 @@ def test_non_finite_float_inputs_exit_2(tmp_path, capsys, bad, field):
     tpath.write_text(json.dumps(triple))
     assert run(["verify", "--triple", str(tpath)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_diverging_fixed_point_exits_2(tmp_path, capsys):
+    # R = (-2, -2) is not completely-S: the sweeps overflow
+    fpath = write_driving_path(tmp_path)
+    assert run(["solve", "--matrix=-2,-2", "--f", str(fpath), "--method", "fixed"]) == 2
+    captured = capsys.readouterr()
+    assert "diverged" in captured.err
+    assert captured.out == ""

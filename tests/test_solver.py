@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skorokhod2d.classify import ReflectionMatrix2
+from skorokhod2d import solver
+from skorokhod2d.classify import CRITICAL_BAND, ReflectionMatrix2
 from skorokhod2d.dyadic import Dyadic
-from skorokhod2d.errors import StepInfeasibleError, UsageError
-from skorokhod2d.paths import EXACT, FLOAT, PLPath2, sup_distance
+from skorokhod2d.errors import DivergenceError, StepInfeasibleError, UsageError
+from skorokhod2d.paths import EXACT, FLOAT, FLOAT_DEDUP, PLPath2, sup_distance
 from skorokhod2d.solver import (
+    RUN_GATE,
     SolveConfig,
+    _lcp2,
+    _march,
+    _Rates,
+    _run,
     lcp_step,
     skorokhod_1d,
     solve_fixed_point,
@@ -369,3 +375,202 @@ def test_fixed_point_kinks_match_grid_solver_breakpoints(a, seed):
     assert fixed.converged
     assert len(fixed.m) <= 1.5 * len(grid.m)
     assert sup_distance(fixed.m, grid.m) <= 1e-11 * sup
+
+
+def test_diverging_sweeps_raise_divergence_error():
+    # R = (-2, -2) is not completely-S: the sweeps overflow, and the error
+    # names the divergence instead of failing later on the output path
+    ts = np.linspace(0.0, 1.0, 21)
+    f = float_path(ts, [(np.sin(5 * t), np.cos(3 * t) - 1.0) for t in ts])
+    with pytest.raises(DivergenceError, match="diverged") as info:
+        solve_fixed_point(ReflectionMatrix2(-2.0, -2.0), f, SolveConfig())
+    assert info.value.round_index == 1
+    assert 1 < info.value.sweep < SolveConfig().max_iter
+
+
+# --- the support rule on arrays ----------------------------------------------
+
+
+def scalar_lcp2(a1, a2, q1, q2, pushable):
+    # the same enumeration on one row, in scalar Python: the reference for
+    # the array rule
+    candidates = [(0, (0.0, 0.0), (q1, q2))]
+    if pushable[0]:
+        candidates.append((1, (-q1, 0.0), (0.0, q2 + a2 * -q1)))
+    if pushable[1]:
+        candidates.append((1, (0.0, -q2), (q1 + a1 * -q2, 0.0)))
+    det = 1.0 - a1 * a2
+    if pushable[0] and pushable[1] and abs(det) > CRITICAL_BAND:
+        candidates.append((2, ((-q1 + a1 * q2) / det, (-q2 + a2 * q1) / det), (0.0, 0.0)))
+    slack = FLOAT_DEDUP * max(abs(q1), abs(q2))
+    best = None
+    for cand in candidates:
+        _, z, w = cand
+        if min(z) < -slack or any(p and wj < -slack for p, wj in zip(pushable, w)):
+            continue
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    if best is None:
+        return None
+    _, z, w = best
+    return (max(z[0], 0.0), max(z[1], 0.0)), w
+
+
+def lcp_rows(seed):
+    # small integers and signed zeros give ties between supports; an entry
+    # 0.5-2 FLOAT_DEDUP times the other's size below zero sits on either side
+    # of the slack
+    rng = np.random.default_rng(seed)
+    ties = rng.choice([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], size=(300, 2))
+    spread = rng.normal(size=(300, 2)) * 10.0 ** rng.uniform(-6, 6, size=(300, 1))
+    near = rng.normal(size=(300, 2))
+    j = rng.integers(2, size=300)
+    rows = np.arange(300)
+    near[rows, j] = -np.abs(near[rows, 1 - j]) * FLOAT_DEDUP * rng.choice([0.5, 1.0, 2.0], size=300)
+    return np.vstack([ties, spread, near])
+
+
+PATTERNS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("pushable", PATTERNS)
+@pytest.mark.parametrize("a1, a2", [(-0.7, 0.9), (-2.0, 1.0), (0.5, 0.5), (-1.0, 1.0),
+                                     (2.0, 2.0), (-1.0, -1.0), (-1.0, -2.0)])
+def test_lcp2_batch_equals_the_rule_row_by_row(a1, a2, pushable):
+    # (2, 2) is completely-S but not P, so supports {1} and {2} can tie;
+    # (-1, -1) has a singular full support and (-1, -2) is not completely-S,
+    # so some rows have no admissible support
+    q = lcp_rows(int(100 * a1 + 10 * a2) % 2**16)
+    z, w, ok = _lcp2(a1, a2, q[:, 0], q[:, 1], pushable)
+    for i, (q1, q2) in enumerate(q.tolist()):
+        ref = scalar_lcp2(a1, a2, q1, q2, pushable)
+        one = _lcp2(a1, a2, q[i:i + 1, 0], q[i:i + 1, 1], pushable)
+        assert ok[i] == one[2][0] == (ref is not None)
+        if ref is not None:
+            assert z[i].tobytes() == one[0][0].tobytes() == np.array(ref[0]).tobytes()
+            assert w[i].tobytes() == one[1][0].tobytes() == np.array(ref[1]).tobytes()
+    if (a1, a2, pushable) == (-1.0, -2.0, (True, True)):
+        assert not ok.all()
+
+
+# --- solve_grid's runs against the per-segment march --------------------------
+
+
+def chained_march(R, f):
+    # the reference for solve_grid: `_march` on every segment in turn
+    eps = FLOAT_DEDUP * float(np.max(np.abs(f.x)))
+    rates = _Rates(float(R.a1), float(R.a2), np.diff(f.x, axis=0) / np.diff(f.t)[:, None])
+    ts = f.t.tolist()
+    g1, g2 = max(float(f.x[0, 0]), 0.0), max(float(f.x[0, 1]), 0.0)
+    m1 = m2 = 0.0
+    rows = [(ts[0], g1, g2, m1, m2)]
+    for k in range(len(ts) - 1):
+        for t, g1, g2, dm1, dm2 in _march(rates, eps, g1, g2, ts[k], ts[k + 1], k, k):
+            m1 += dm1
+            m2 += dm2
+            rows.append((t, g1, g2, m1, m2))
+    return np.array(rows)
+
+
+def assert_grid_solver_matches_march(R, f, monkeypatch=None):
+    """solve_grid equals the chained march bit for bit; returns how many
+    segments solve_grid marched one by one."""
+    marched = []
+    if monkeypatch is not None:
+        def counting(*args):
+            marched.append(args[-1])
+            return _march(*args)
+        monkeypatch.setattr(solver, "_march", counting)
+    res = solve_grid(R, f, SolveConfig())
+    ref = chained_march(R, f)
+    assert res.g.t.tobytes() == res.m.t.tobytes() == ref[:, 0].tobytes()
+    assert res.g.x.tobytes() == ref[:, 1:3].tobytes()
+    assert res.m.x.tobytes() == ref[:, 3:].tobytes()
+    assert res.iterations == len(ref) - 1
+    return len(marched)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_runs_match_the_march_on_gaussian_walks(seed, monkeypatch):
+    # long quiet stretches between events: most segments go as runs
+    rng = np.random.default_rng(seed)
+    n = 4000
+    ts = np.linspace(0.0, 1.0, n + 1)
+    vals = 0.25 + np.vstack([np.zeros((1, 2)), np.cumsum(rng.normal(size=(n, 2)), axis=0) / np.sqrt(n)])
+    a1, a2 = rng.uniform(-0.45, 0.45, size=2)
+    marched = assert_grid_solver_matches_march(ReflectionMatrix2(a1, a2), PLPath2(ts, vals, FLOAT), monkeypatch)
+    assert marched < n / 4
+
+
+@pytest.mark.parametrize("a1, a2", [(0.9, -0.9), (0.99, -0.99), (-1.0, 1.0)])
+@pytest.mark.parametrize("seed", range(2))
+def test_grid_runs_match_the_march_on_corner_walks(a1, a2, seed):
+    assert_grid_solver_matches_march(ReflectionMatrix2(a1, a2), corner_walk(seed, n=2000))
+
+
+def quiet_path(n, events):
+    # both coordinates rise, so every segment is one quiet sub-step, except
+    # that g1 falls to zero inside each segment in `events`
+    ts = np.linspace(0.0, 1.0, n + 1)
+    steps = np.full((n, 2), 0.01)
+    steps[events, 0] = -3.0
+    return PLPath2(ts, 1.0 + np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)]), FLOAT)
+
+
+G = RUN_GATE
+
+
+@pytest.mark.parametrize("n, events", [
+    (1, []), (1, [0]),                       # one segment
+    (8 * G, []), (G, []), (2 * G, []),       # no event, ending at a window end
+    (8 * G, [0]), (8 * G, [8 * G - 1]),      # first and last segment
+    (8 * G, [G - 1]), (8 * G, [G]), (8 * G, [G + 1]),          # at the gate
+    (8 * G, [2 * G - 1]), (8 * G, [2 * G]),                    # window ends
+    (8 * G, [4 * G - 1]), (8 * G, [4 * G]),
+    (8 * G, [G, 2 * G + 1, 3 * G + 2]),                         # a new streak
+])
+def test_grid_runs_match_the_march_at_gate_and_window_boundaries(n, events, monkeypatch):
+    R = ReflectionMatrix2(0.3, -0.4)
+    marched = assert_grid_solver_matches_march(R, quiet_path(n, events), monkeypatch)
+    if not events:
+        assert marched == min(n, G)  # the streak, then runs to the end
+
+
+def test_grid_runs_match_the_march_where_the_clip_applies(monkeypatch):
+    # g1 = 0 is active, and its rate -2^-43 lies within the support rule's
+    # slack, so nothing pushes and every segment ends in the clip at 0
+    n = 8 * G
+    ts = np.linspace(0.0, 1.0, n + 1)
+    f = PLPath2(ts, np.column_stack([-(2.0**-43) * ts, 1.0 + ts]), FLOAT)
+    marched = assert_grid_solver_matches_march(ReflectionMatrix2(0.3, -0.4), f, monkeypatch)
+    assert marched == n
+
+
+def test_run_stops_at_an_inadmissible_segment():
+    # R = (-1, -2) is not completely-S: with both coordinates at zero the
+    # slope (-1, 2) keeps them there, and the slope (-1, -1) has no admissible
+    # support, so a run ends before it and `_march` raises there
+    slopes = np.tile([-1.0, 2.0], (4 * G, 1))
+    slopes[G + 3] = (-1.0, -1.0)
+    rates = _Rates(-1.0, -2.0, slopes)
+    grid = np.arange(4 * G + 1) / 64
+    active = (True, True)
+    run = _run(rates[active], grid, 2.0**-40, active, (0.0, 0.0), (0.0, 0.0), 0, 4 * G)
+    assert len(run) == G + 3
+    assert np.all(run[:, 1:3] == 0.0)
+    with pytest.raises(StepInfeasibleError) as info:
+        _march(rates, 2.0**-40, 0.0, 0.0, grid[G + 3], grid[G + 4], G + 3, G + 3)
+    assert info.value.step_index == G + 3
+
+
+def test_run_stops_where_a_slack_coordinate_reaches_zero_by_rounding():
+    # g1 / -gr1 rounds one ulp below dt while g1 + dt * gr1 rounds to >= 0:
+    # only the reach test sees the event, and `_march` takes two sub-steps
+    g1, s1 = 0.5082638177642645, -0.9452916619330787
+    dt = np.nextafter(g1 / -s1, np.inf)
+    assert g1 + dt * s1 >= 0
+    rates = _Rates(0.3, -0.4, np.array([[s1, 1.0]]))
+    grid = np.array([0.0, dt])
+    active = (False, False)
+    assert len(_run(rates[active], grid, 2.0**-40, active, (g1, 1.0), (0.0, 0.0), 0, 1)) == 0
+    assert len(_march(rates, 2.0**-40, g1, 1.0, 0.0, dt, 0, 0)) == 2
