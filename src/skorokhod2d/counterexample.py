@@ -30,6 +30,7 @@ from .paths import (
     MonotoneDecomp,
     PLPath2,
     Scalar,
+    _array,
     _coerce_scalar,
     jordan_decompose,
     matrix_apply,
@@ -92,26 +93,21 @@ def build_u(a1, depth: int, mode: str = "auto") -> PLPath2:
 
 
 def _spiral(depth: int, mode: str, a1, rho) -> PLPath2:
-    pow_rho = [rho**0]
-    for _ in range(depth + 2):
-        pow_rho.append(pow_rho[-1] * rho)
-
-    times, values = [], []
-    for n in range(depth, -1, -1):
-        k, r = divmod(n, 4)
-        if r == 0:
-            v = (-pow_rho[2 * k], pow_rho[2 * k])
-        elif r == 1:
-            v = (-pow_rho[2 * k], -pow_rho[2 * k + 1])
-        elif r == 2:
-            v = (pow_rho[2 * k + 1], -pow_rho[2 * k + 1])
-        else:
-            v = (pow_rho[2 * k + 1], pow_rho[2 * k + 2])
-        times.append(Dyadic(1, -n) if mode == EXACT else 2.0**-n)
-        values.append(v)
-    u = PLPath2(tuple(times), tuple(values), mode)
+    n = np.arange(depth, -1, -1)
+    k, r = np.divmod(n, 4)
+    # quarter turn r: |u1| = rho^(2k + (0, 0, 1, 1)[r]) with signs (-, -, +, +),
+    # |u2| = rho^(2k + (0, 1, 1, 2)[r]) with signs (+, -, -, +)
+    pow_rho = _powers(rho, depth + 3, mode)
+    x1, x2 = pow_rho[2 * k + r // 2], pow_rho[2 * k + (r + 1) // 2]
+    x = np.column_stack([np.where(r < 2, -x1, x1), np.where((r == 1) | (r == 2), -x2, x2)])
+    u = PLPath2(_powers(_coerce_scalar(0.5, mode), depth + 1, mode)[n], x, mode)
     _guard_geometry(u, a1)
     return u
+
+
+def _powers(base, count: int, mode: str):
+    """base**j for j < count, each the one before times base."""
+    return np.cumprod(_array([1] + [base] * (count - 1), mode))
 
 
 def _guard_geometry(u: PLPath2, a1) -> None:

@@ -1,20 +1,39 @@
 """Exact dyadic rational arithmetic.
 
 A dyadic number is mantissa * 2**exp2 with an arbitrary-precision integer
-mantissa. Canonical form keeps the mantissa odd (or zero with exp2 = 0), so
-equality is structural. Addition, multiplication, negation and comparisons
-are exact; division is supported only when the quotient is again dyadic.
+mantissa. Addition, multiplication, negation and comparisons are exact;
+division is supported only when the quotient is again dyadic.
+
+`Dyadic` is the scalar. Its canonical form keeps the mantissa odd (or zero
+with exp2 = 0), so equality is structural. `DyadicArray` holds an array of
+dyadic numbers as one numpy object array of Python ints `m` and one exponent
+`e` for the whole array, value m * 2**e. Operators, comparisons and the numpy
+functions the paths use (`diff`, `cumsum`, `where`, `searchsorted`, `sort`,
+...) run as numpy loops over the ints, with no Python frame per scalar: two
+operands are first put on their lower exponent, one shift per array.
+Quotients check exactness with one vectorised remainder by the odd part of
+the divisor. Scalars read out of an array are `Dyadic`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 from .errors import ExactnessError
 
 NumberLike = Union["Dyadic", int, float, Fraction]
+
+
+def _common(*parts):
+    """Mantissas (ints or int arrays) of (mantissa, exponent) operands on their
+    lowest exponent; a zero scalar, exponent None, fits any exponent."""
+    e = min((pe for _, pe in parts if pe is not None), default=0)
+    return [pm if pe is None or pe == e else pm << (pe - e) for pm, pe in parts], e
 
 
 class Dyadic:
@@ -94,25 +113,20 @@ class Dyadic:
             return Dyadic.from_fraction(x)
         return NotImplemented  # type: ignore[return-value]
 
-    def _aligned(self, other: "Dyadic") -> tuple[int, int, int]:
-        e = min(self.exp2, other.exp2)
-        return self.mantissa << (self.exp2 - e), other.mantissa << (other.exp2 - e), e
-
-    def __add__(self, other: NumberLike):
+    def _linear(self, other: NumberLike, op):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        ma, mb, e = self._aligned(o)
-        return Dyadic(ma + mb, e)
+        (ma, mb), e = _common((self.mantissa, self.exp2), (o.mantissa, o.exp2))
+        return Dyadic(op(ma, mb), e)
+
+    def __add__(self, other: NumberLike):
+        return self._linear(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other: NumberLike):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        ma, mb, e = self._aligned(o)
-        return Dyadic(ma - mb, e)
+        return self._linear(other, operator.sub)
 
     def __rsub__(self, other: NumberLike):
         o = self._coerce(other)
@@ -173,36 +187,33 @@ class Dyadic:
 
     # --- comparisons ------------------------------------------------------
 
-    def _cmp(self, other: NumberLike) -> int | None:
+    def _compare(self, other, op):
+        if isinstance(other, float) and not math.isfinite(other):
+            return op(0.0, other)  # a finite number orders against ±inf and NaN as 0.0 does
         o = self._coerce(other)
         if o is NotImplemented:
-            return None
-        ma, mb, _ = self._aligned(o)
-        return (ma > mb) - (ma < mb)
+            return NotImplemented
+        (ma, mb), _ = _common((self.mantissa, self.exp2), (o.mantissa, o.exp2))
+        return op(ma, mb)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Dyadic):  # canonical form: equal values, equal fields
             return self.mantissa == other.mantissa and self.exp2 == other.exp2
         if isinstance(other, (int, Fraction, float)):
-            c = self._cmp(other)
-            return c == 0 if c is not None else NotImplemented
+            return self._compare(other, operator.eq)
         return NotImplemented
 
     def __lt__(self, other):
-        c = self._cmp(other)
-        return c < 0 if c is not None else NotImplemented
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        c = self._cmp(other)
-        return c <= 0 if c is not None else NotImplemented
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        c = self._cmp(other)
-        return c > 0 if c is not None else NotImplemented
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        c = self._cmp(other)
-        return c >= 0 if c is not None else NotImplemented
+        return self._compare(other, operator.ge)
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())
@@ -228,3 +239,244 @@ def to_dyadic(x: NumberLike) -> Dyadic:
 def parse_exact(text: str) -> Dyadic:
     """Parse a decimal or integer-ratio string ('0.75', '-3', '3/4') exactly."""
     return Dyadic.from_fraction(Fraction(text))
+
+
+# --- arrays -------------------------------------------------------------------
+
+def _parts(x):
+    """(mantissa, exponent) of an array or scalar operand; exponent None for a
+    zero scalar. None when x is not a dyadic operand."""
+    if isinstance(x, DyadicArray):
+        return x.m, x.e
+    if isinstance(x, np.ndarray):
+        return None
+    d = Dyadic._coerce(x)
+    if d is NotImplemented:
+        return None
+    return d.mantissa, d.exp2 if d.mantissa else None
+
+
+def _wrap(m, e: int):
+    """An array result as a DyadicArray, a scalar one as a Dyadic."""
+    return DyadicArray(m, e) if isinstance(m, np.ndarray) else Dyadic(m, e)
+
+
+def _same_exponent(ufunc):
+    """An elementwise ufunc whose result keeps the operands' common exponent."""
+    def apply(*parts):
+        ms, e = _common(*parts)
+        return DyadicArray(ufunc(*ms), e)
+
+    return apply
+
+
+def _compare_ints(ufunc):
+    def apply(*parts):
+        return ufunc(*_common(*parts)[0])  # a bool array
+
+    return apply
+
+
+def _multiply(a, b):
+    (ma, ea), (mb, eb) = a, b
+    return DyadicArray(ma * mb, (ea or 0) + (eb or 0))
+
+
+def _divide(a, b):
+    """a / b, exact or ExactnessError: b = odd * low with low a power of two,
+    and the result exponent drops by the largest low of the array."""
+    (na, ea), (nb, eb) = a, b
+    if eb is None:
+        raise ZeroDivisionError("dyadic division by zero")
+    low = nb & -nb
+    big = low.max(initial=1) if isinstance(low, np.ndarray) else low
+    odd = nb // low
+    if not (isinstance(odd, int) and odd == 1):
+        rem = na % odd
+        bad = np.flatnonzero(rem != 0)
+        if len(bad):
+            n, d = (np.broadcast_to(x, rem.shape).flat[bad[0]] for x in (na, nb))
+            raise ExactnessError(f"{Dyadic(n, ea or 0)!r} / {Dyadic(d, eb)!r} is not dyadic")
+        na = na // odd
+    if isinstance(low, np.ndarray):
+        na = na * (big // low)
+    return DyadicArray(na, (ea or 0) - eb - (big.bit_length() - 1))
+
+
+_UFUNCS = {
+    np.add: _same_exponent(np.add),
+    np.subtract: _same_exponent(np.subtract),
+    np.maximum: _same_exponent(np.maximum),
+    np.minimum: _same_exponent(np.minimum),
+    np.less: _compare_ints(np.less),
+    np.less_equal: _compare_ints(np.less_equal),
+    np.greater: _compare_ints(np.greater),
+    np.greater_equal: _compare_ints(np.greater_equal),
+    np.equal: _compare_ints(np.equal),
+    np.not_equal: _compare_ints(np.not_equal),
+    np.negative: _same_exponent(np.negative),
+    np.absolute: _same_exponent(np.absolute),
+    np.multiply: _multiply,
+    np.true_divide: _divide,
+}
+
+
+def _along(func):
+    """A numpy function that keeps the exponent: diff, cumsum, sort, max, ..."""
+    return lambda a, *args, **kwargs: _wrap(func(a.m, *args, **kwargs), a.e)
+
+
+def _cumprod(a):
+    """Running products of a 1-D array; the j-th has exponent (j + 1) * e."""
+    return DyadicArray.from_parts(np.cumprod(a.m), a.e * np.arange(1, len(a) + 1))
+
+
+def _sum(a, initial=None):
+    total = Dyadic(np.sum(a.m), a.e)
+    return total if initial is None else total + initial
+
+
+def _joined(func):
+    """concatenate and column_stack, on the operands' lowest exponent."""
+    def apply(arrays, *args, **kwargs):
+        ms, e = _common(*map(_parts, arrays))
+        return DyadicArray(func(ms, *args, **kwargs), e)
+
+    return apply
+
+
+def _where(cond, a, b):
+    (ma, mb), e = _common(_parts(a), _parts(b))
+    return DyadicArray(np.where(cond, ma, mb), e)
+
+
+def _searchsorted(a, v, side="left"):
+    (ma, mv), _ = _common(_parts(a), _parts(v))
+    return np.searchsorted(ma, mv, side=side)
+
+
+_FUNCTIONS = {
+    np.diff: _along(np.diff),
+    np.cumsum: _along(np.cumsum),
+    np.cumprod: _cumprod,
+    np.sort: _along(np.sort),
+    np.max: _along(np.max),
+    np.min: _along(np.min),
+    np.sum: _sum,
+    np.concatenate: _joined(np.concatenate),
+    np.column_stack: _joined(np.column_stack),
+    np.where: _where,
+    np.searchsorted: _searchsorted,
+}
+
+
+class DyadicArray(np.lib.mixins.NDArrayOperatorsMixin):
+    """Dyadic numbers m * 2**e: `m` a numpy object array of Python ints, `e`
+    one exponent for the whole array.
+
+    Supports the operators, indexing, and the numpy ufuncs and functions in
+    `_UFUNCS` and `_FUNCTIONS`; anything else raises TypeError rather than
+    run per scalar. Operands may be DyadicArrays or numbers.
+    """
+
+    __slots__ = ("m", "e")
+
+    def __init__(self, m, e: int = 0):
+        m = np.asarray(m)
+        self.m = m if m.dtype == object else m.astype(object)  # never int64
+        self.e = e
+
+    @classmethod
+    def of(cls, a) -> "DyadicArray":
+        """Exact array of a's numbers: a DyadicArray as it is, else an int array
+        or nested sequences of int, float, Fraction or Dyadic."""
+        if isinstance(a, DyadicArray):
+            return a
+        a = np.array(a, dtype=object)  # the ints of an int64 array become Python ints
+        ds = [to_dyadic(v) for v in a.ravel().tolist()]
+        return cls.from_parts([d.mantissa for d in ds], [d.exp2 for d in ds]).reshape(a.shape)
+
+    @classmethod
+    def from_parts(cls, mantissas, exponents) -> "DyadicArray":
+        """The flat array of the values mantissas[i] * 2**exponents[i]."""
+        m = np.array(mantissas, dtype=object)
+        e = np.array(exponents, dtype=object)
+        nonzero = m != 0
+        low = np.min(e[nonzero]) if nonzero.any() else 0
+        return cls(m << np.where(nonzero, e - low, 0), low)
+
+    def to_parts(self) -> tuple[list, list]:
+        """The flat mantissas and exponents, each pair in `Dyadic`'s canonical
+        form (odd mantissa, or 0 with exponent 0): the inverse of `from_parts`."""
+        e = self.e
+        parts = [(v >> (k := (v & -v).bit_length() - 1), e + k) if v else (0, 0)
+                 for v in self.m.ravel().tolist()]
+        return [m for m, _ in parts], [k for _, k in parts]
+
+    def frozen(self) -> "DyadicArray":
+        """Self if read-only; else a read-only copy on the largest shared exponent."""
+        if not self.m.flags.writeable:
+            return self
+        low = np.bitwise_or.reduce(self.m, axis=None) if self.m.size else 0
+        k = (low & -low).bit_length() - 1
+        m, e = (self.m >> k, self.e + k) if k > 0 else (self.m.copy(), self.e if low else 0)
+        m.flags.writeable = False
+        return DyadicArray(m, e)
+
+    # --- numpy protocol -----------------------------------------------------
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        apply = _UFUNCS.get(ufunc)
+        parts = [_parts(x) for x in inputs]
+        if method != "__call__" or kwargs or apply is None or None in parts:
+            return NotImplemented
+        return apply(*parts)
+
+    def __array_function__(self, func, types, args, kwargs):
+        apply = _FUNCTIONS.get(func)
+        return NotImplemented if apply is None else apply(*args, **kwargs)
+
+    # --- array interface ----------------------------------------------------
+
+    @property
+    def shape(self) -> tuple:
+        return self.m.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.m.ndim
+
+    @property
+    def T(self) -> "DyadicArray":
+        return DyadicArray(self.m.T, self.e)
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def reshape(self, *shape) -> "DyadicArray":
+        return DyadicArray(self.m.reshape(*shape), self.e)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, key):
+        return _wrap(self.m[key], self.e)
+
+    def __setitem__(self, key, value) -> None:
+        if not self.m.flags.writeable:  # a path's arrays, which paths may share
+            raise ValueError("assignment destination is read-only")
+        (m, v), self.e = _common((self.m, self.e), _parts(value))
+        self.m = m
+        m[key] = v
+
+    def tolist(self) -> list:
+        """Nested lists of Dyadic, as ndarray.tolist() nests."""
+        flat = [Dyadic(v, self.e) for v in self.m.ravel().tolist()]
+        return np.array(flat, dtype=object).reshape(self.shape).tolist()
+
+    def astype(self, dtype) -> np.ndarray:
+        """The values as an ndarray of dtype (float rounds each to nearest)."""
+        return np.array(self.tolist(), dtype=dtype)
+
+    def __repr__(self) -> str:
+        return f"DyadicArray({self.m!r}, {self.e})"

@@ -2,15 +2,18 @@
 
 Paths are immutable: a strictly increasing time grid plus one plane point per
 grid time, linearly interpolated in between. Every path is either in exact
-mode (all scalars Dyadic, no operation ever rounds) or float mode (finite IEEE
+mode (dyadic rationals, no operation ever rounds) or float mode (finite IEEE
 doubles). The two modes never mix inside one path or one binary operation.
 
-A path keeps read-only arrays `t` (n,) and `x` (n, 2), float64 or Dyadic
-objects, and each operation is one piece of array code for both modes;
-`times` and `values` are tuple views of Python scalars, built on first use.
-Values between breakpoints come from v0 + (t - t0) * (v1 - v0) / (t1 - t0),
-sign changes from t0 + (t1 - t0) * d0 / (d0 - d1): exact in exact mode, or
-ExactnessError, as a Dyadic quotient is.
+A path keeps read-only arrays `t` (n,) and `x` (n, 2): float64 in float
+mode; in exact mode each is a `DyadicArray`, one numpy object array of Python
+ints and one power of two for the whole array, so t = t.m * 2**t.e. Each
+operation is one piece of array code for both modes, and in exact mode it runs
+as numpy loops over ints. `times`, `values` and `eval` give Python floats or
+Dyadic, built on each use. Values between breakpoints come from
+v0 + (t - t0) * (v1 - v0) / (t1 - t0), sign changes from
+t0 + (t1 - t0) * d0 / (d0 - d1): exact in exact mode, or ExactnessError when
+a quotient is not dyadic.
 
 Every float tolerance is FLOAT_DEDUP times a magnitude of the same units
 from the inputs; no absolute floor (`negligible`), so no result depends on the
@@ -22,12 +25,11 @@ breakpoint as a kept time, their difference negligible against max(|s|, |t|).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
-from .dyadic import Dyadic, to_dyadic
+from .dyadic import Dyadic, DyadicArray, to_dyadic
 from .errors import DomainError, UsageError
 
 Scalar = Union[Dyadic, float]
@@ -38,9 +40,6 @@ FLOAT = "float"
 
 #: relative size below which a float quantity is negligible
 FLOAT_DEDUP = 2.0**-40
-
-_TO_DYADIC = np.frompyfunc(to_dyadic, 1, 1)
-
 
 def negligible(x, ref, mode: str):
     """x == 0 in exact mode, |x| <= FLOAT_DEDUP * ref (ref in x's units) in float."""
@@ -60,17 +59,17 @@ def _coerce_scalar(x, mode: str) -> Scalar:
     return float(x)
 
 
-def _array(a, mode: str) -> np.ndarray:
-    """A new array of a's scalars: finite float64, or Dyadic objects in exact mode."""
+def _array(a, mode: str):
+    """An array of a's scalars: a new finite float64 array, or a DyadicArray."""
     if mode == EXACT:
-        return _TO_DYADIC(np.array(a, dtype=object))
+        return DyadicArray.of(a)
     a = np.array(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise UsageError("float paths need finite times and values")
     return a
 
 
-def _grid(times, mode: str) -> np.ndarray:
+def _grid(times, mode: str):
     """A new nonempty, strictly increasing time array of the mode's scalars."""
     t = _array(times, mode)
     if t.ndim != 1 or not len(t):
@@ -96,12 +95,15 @@ class PLPath2:
         self._freeze(t, x, mode)
 
     @classmethod
-    def _of(cls, t: np.ndarray, x: np.ndarray, mode: str) -> "PLPath2":
+    def _of(cls, t, x, mode: str) -> "PLPath2":
         """Path on arrays that already hold the mode's scalars on a valid grid."""
         return cls.__new__(cls)._freeze(t, x, mode)
 
     def _freeze(self, t, x, mode) -> "PLPath2":
-        t.flags.writeable = x.flags.writeable = False
+        if mode == EXACT:
+            t, x = t.frozen(), x.frozen()
+        else:
+            t.flags.writeable = x.flags.writeable = False
         self.t, self.x, self.mode = t, x, mode
         return self
 
@@ -110,12 +112,12 @@ class PLPath2:
 
     # --- basic queries ----------------------------------------------------
 
-    @cached_property
+    @property
     def times(self) -> tuple:
         """The grid as a tuple of Python floats or Dyadic."""
         return tuple(self.t.tolist())
 
-    @cached_property
+    @property
     def values(self) -> tuple:
         """The points as a tuple of (x1, x2) pairs of Python floats or Dyadic."""
         return tuple(map(tuple, self.x.tolist()))
@@ -171,41 +173,38 @@ def merge_times(base: Sequence, *extras: Sequence, mode: str) -> list:
     return _merge(base, *extras, mode=mode).tolist()
 
 
-def _merge(base, *extras, mode: str) -> np.ndarray:
-    """`merge_times` as an array of the mode's scalars."""
+def _merge(base, *extras, mode: str):
+    """`merge_times` as an array of the mode's scalars. Exact times are ints on
+    one exponent, so exact equality is int equality and nothing is hashed."""
     _check_mode(mode)
-    merged = np.asarray(base, dtype=float) if mode == FLOAT else list(base)
+    merged = _asarray(base, mode)
     for extra in extras:
-        merged = (_merge_float if mode == FLOAT else _merge_exact)(merged, extra)
-    return np.asarray(merged, dtype=float if mode == FLOAT else object)
+        e = _asarray(extra, mode)
+        if not len(e) or _same(merged, e):
+            continue
+        i = np.searchsorted(merged, e)  # merged[i - 1] < e <= merged[i]
+        below = merged[np.maximum(i - 1, 0)]
+        above = merged[np.minimum(i, len(merged) - 1)]
+        e = e[~(_times_equal(below, e, mode) | _times_equal(above, e, mode))]
+        if np.any(_times_equal(e[:-1], e[1:], mode)):
+            kept: list = []
+            for t in e.tolist():  # of extras that are one breakpoint, the first wins
+                if not (kept and _times_equal(kept[-1], t, mode)):
+                    kept.append(t)
+            e = _asarray(kept, mode)
+        merged = np.sort(np.concatenate([merged, e]))
+    return merged
 
 
-def _merge_exact(base: list, extra: Sequence) -> list:
-    # one linear walk on equality: Dyadic times are never sorted or hashed
-    out: list = []
-    i, n = 0, len(base)
-    for t in extra:
-        while i < n and base[i] <= t:
-            out.append(base[i])
-            i += 1
-        if not (out and out[-1] == t):
-            out.append(t)
-    out.extend(base[i:])
-    return out
+def _asarray(a, mode: str):
+    """a as an array of the mode's scalars, without a copy where it already is one."""
+    return np.asarray(a, dtype=float) if mode == FLOAT else DyadicArray.of(a)
 
 
-def _merge_float(b: np.ndarray, extra: Sequence) -> np.ndarray:
-    e = np.asarray(extra, dtype=float)
-    i = np.searchsorted(b, e)  # b[i - 1] < e <= b[i]
-    below, above = b[np.maximum(i - 1, 0)], b[np.minimum(i, len(b) - 1)]
-    e = e[~(_times_equal(below, e, FLOAT) | _times_equal(above, e, FLOAT))]
-    if np.any(_times_equal(e[:-1], e[1:], FLOAT)):
-        kept: list = []
-        for t in e.tolist():  # of extras that are one breakpoint, the first wins
-            if not (kept and _times_equal(kept[-1], t, FLOAT)):
-                kept.append(t)
-        e = np.asarray(kept)
-    return np.sort(np.concatenate([b, e]))
+def _same(s, t) -> bool:
+    """Two grids of equal times: most regrids and merges meet one, and this
+    test costs far less than the bracket search."""
+    return len(s) == len(t) and bool(np.all(s == t))
 
 
 def _times_equal(s, t, mode: str):
@@ -219,33 +218,23 @@ def with_times(path: PLPath2, new_times: Sequence) -> PLPath2:
     return _regrid(path, _grid(new_times, path.mode))
 
 
-def _regrid(path: PLPath2, s: np.ndarray) -> PLPath2:
+def _regrid(path: PLPath2, s) -> PLPath2:
     """`with_times` for a grid s that already holds the mode's scalars."""
     t, x, mode = path.t, path.x, path.mode
+    if _same(t, s):
+        return PLPath2._of(s, x, mode)
     c = s
     if s[0] < t[0] or s[-1] > t[-1]:  # s ascends: only its ends can leave the domain
         c = np.minimum(np.maximum(s, t[0]), t[-1])
         off = np.nonzero(~_times_equal(c, s, mode))[0]
         if len(off):
             raise DomainError(f"t={s[off[0]]} outside [{t[0]}, {t[-1]}]")
-    # brackets t[i - 1] < c <= t[i]; in exact mode one walk, as a Dyadic
-    # comparison costs more than a step
-    i = np.searchsorted(t, c) if mode == FLOAT else _walk(t, c)
+    i = np.searchsorted(t, c)  # t[i - 1] < c <= t[i]
     out = x[i]
     k = np.nonzero(t[i] != c)[0]
     j = i[k]
     out[k] = _interp(t[j - 1, None], t[j, None], x[j - 1], x[j], c[k, None])
     return PLPath2._of(s, out, mode)
-
-
-def _walk(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per ascending s inside [t[0], t[-1]], the first i with t[i] >= s."""
-    ts, out, i = t.tolist(), [], 0
-    for u in s.tolist():
-        while ts[i] < u:
-            i += 1
-        out.append(i)
-    return np.array(out, dtype=np.intp)
 
 
 def refine(*paths: PLPath2) -> tuple[PLPath2, ...]:
@@ -278,7 +267,7 @@ def jordan_decompose(u: PLPath2) -> MonotoneDecomp:
     zero = _coerce_scalar(0, u.mode)
     d = np.diff(u.x, axis=0)
     up = np.where(d > zero, d, zero)
-    start = np.full((1, 2), zero, dtype=u.x.dtype)
+    start = u.x[:1] - u.x[:1]  # a zero row of u's scalars
     m, mbar = (np.cumsum(np.concatenate([start, inc]), axis=0) for inc in (up, up - d))
     return MonotoneDecomp(PLPath2._of(u.t, m, u.mode), PLPath2._of(u.t, mbar, u.mode))
 
@@ -291,7 +280,7 @@ def _crossing_time(t0, t1, d0, d1):
     return t0 + (t1 - t0) * d0 / (d0 - d1)
 
 
-def _insert_crossings(p: PLPath2, d: np.ndarray) -> np.ndarray:
+def _insert_crossings(p: PLPath2, d):
     """p's grid plus the times where a column of d (a row per time) strictly
     changes sign."""
     zero = _coerce_scalar(0, p.mode)
@@ -352,8 +341,7 @@ def matrix_apply(a1, a2, p: PLPath2) -> PLPath2:
 
 
 def scale_components(p: PLPath2, c1, c2) -> PLPath2:
-    c = np.array([_coerce_scalar(c1, p.mode), _coerce_scalar(c2, p.mode)], dtype=p.x.dtype)
-    return PLPath2._of(p.t, c * p.x, p.mode)
+    return PLPath2._of(p.t, _array([c1, c2], p.mode) * p.x, p.mode)
 
 
 # --- Stieltjes integration ---------------------------------------------------

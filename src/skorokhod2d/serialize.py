@@ -1,24 +1,36 @@
 """JSON and CSV encodings for paths, triples and solver output.
 
 Exact scalars serialize as {"m": "<decimal-integer-string>", "e": <int>}
-meaning m * 2^e; float scalars are plain JSON numbers. The round trip is
-bit-identical in exact mode. Decoding a malformed document raises UsageError
-naming the missing or malformed key.
+meaning m * 2^e, in the canonical form of `Dyadic`; float scalars are plain
+JSON numbers. Exact path arrays go straight between these objects and their
+Python-int mantissas, and float ones through one numpy conversion. The round
+trip is bit-identical in exact mode. Decoding a malformed document raises
+UsageError naming the missing or malformed key or scalar, and so does an
+exact array too wide to hold (`MAX_EXACT_BITS`).
 """
 
 from __future__ import annotations
 
 import io
+from itertools import compress
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
 from .classify import ReflectionMatrix2
 from .counterexample import CounterexampleBundle
-from .dyadic import Dyadic, to_dyadic
+from .dyadic import Dyadic, DyadicArray, to_dyadic
 from .errors import UsageError
-from .paths import EXACT, FLOAT, MonotoneDecomp, PLPath2
+from .paths import EXACT, FLOAT, MonotoneDecomp, PLPath2, _array
 from .verifier import SolutionTriple
+
+MAX_EXACT_BITS = 1 << 28
+"""Bound on the decoded size of one exact array: its length times the spread
+of its nonzero scalars' exponents. The array holds its mantissas on its lowest
+exponent, so a document of a few scalars on far-apart exponents would
+otherwise decode into huge ints. A depth-1600 spiral bundle needs at most
+5.2e6 bits per array."""
 
 
 def scalar_to_json(x, mode: str) -> Any:
@@ -48,30 +60,32 @@ def scalar_from_json(obj: Any, mode: str):
         raise UsageError(f"malformed {mode} scalar: {obj!r}") from None
 
 
-_SCALARS_TO_JSON = np.frompyfunc(scalar_to_json, 2, 1)
-_SCALARS_FROM_JSON = np.frompyfunc(scalar_from_json, 2, 1)
-
-
 def path_to_json(p: PLPath2) -> dict:
-    def encode(a):  # float arrays are already JSON numbers
-        return (a if p.mode == FLOAT else _SCALARS_TO_JSON(a, p.mode)).tolist()
+    return {"mode": p.mode, "times": _encode(p.t), "values": _encode(p.x)}
 
-    return {"mode": p.mode, "times": encode(p.t), "values": encode(p.x)}
+
+def _encode(a) -> list:
+    """Nested lists of JSON scalars; float arrays are already JSON numbers."""
+    if not isinstance(a, DyadicArray):
+        return a.tolist()
+    flat = [{"m": str(m), "e": e} for m, e in zip(*a.to_parts())]
+    return flat if a.ndim == 1 else list(map(list, zip(*[iter(flat)] * a.shape[1])))
 
 
 def path_from_json(obj: dict) -> PLPath2:
     mode = _field(obj, "mode")
     if mode not in (EXACT, FLOAT):
         raise UsageError(f"unknown path mode: {mode!r}")
-    values = _field(obj, "values", list)
-    if not all(isinstance(v, list) and len(v) == 2 for v in values):
+    values = _cells(_field(obj, "values", list), mode)
+    if len(values) and values.shape[1:2] != (2,):
         raise UsageError("malformed 'values': each entry must be a pair")
-    return PLPath2(_decode(_field(obj, "times", list), mode), _decode(values, mode), mode)
+    times = _decode(_cells(_field(obj, "times", list), mode), mode)
+    return PLPath2(times, _decode(values, mode), mode)
 
 
-def _decode(items: list, mode: str) -> np.ndarray:
-    """One array conversion for a float field; scalar by scalar in exact mode,
-    or to name a malformed float entry (numpy reads a null as nan)."""
+def _cells(items: list, mode: str) -> np.ndarray:
+    """The field as one array: float64 when numpy reads it so without a nan
+    (it reads a null as nan), else the JSON items as objects."""
     if mode == FLOAT:
         try:
             a = np.array(items, dtype=float)
@@ -79,7 +93,36 @@ def _decode(items: list, mode: str) -> np.ndarray:
                 return a
         except (TypeError, ValueError, OverflowError):
             pass
-    return _SCALARS_FROM_JSON(np.array(items, dtype=object), mode)
+    return np.array(items, dtype=object)
+
+
+def _decode(cells: np.ndarray, mode: str):
+    """The scalars of `_cells`: float64, or a DyadicArray straight from the
+    exact objects' mantissas and exponents."""
+    if cells.dtype == float:
+        return cells
+    flat = cells.ravel().tolist()
+    if mode == FLOAT:
+        scalars = np.array([scalar_from_json(x, mode) for x in flat], dtype=object)
+        return _array(scalars.reshape(cells.shape), mode)
+    m, e = _exact_parts(flat)
+    live = list(compress(e, m))  # the exponents of nonzero scalars
+    if live and len(m) * (max(live) - min(live)) > MAX_EXACT_BITS:
+        raise UsageError(f"exact array too wide: {len(m)} scalars with exponents from "
+                         f"{min(live)} to {max(live)} need over {MAX_EXACT_BITS} bits")
+    return DyadicArray.from_parts(m, e).reshape(cells.shape)
+
+
+def _exact_parts(flat: list) -> tuple[list, list]:
+    """Mantissas and exponents of exact JSON scalars, read with `map`. Objects
+    that do not read so are decoded one by one, which names a malformed one."""
+    try:
+        if set(map(len, flat)) <= {2}:  # with an "m" and an "e", no other key
+            return tuple(list(map(int, map(itemgetter(k), flat))) for k in "me")
+    except (TypeError, ValueError, KeyError):
+        pass
+    ds = [scalar_from_json(x, EXACT) for x in flat]
+    return [d.mantissa for d in ds], [d.exp2 for d in ds]
 
 
 def path_to_csv(p: PLPath2) -> str:

@@ -82,3 +82,16 @@ def test_decimal_string_round_trip(a):
 @given(dyadics, dyadics)
 def test_order_consistent_with_fractions(a, b):
     assert (a < b) == (a.as_fraction() < b.as_fraction())
+
+
+@pytest.mark.parametrize("x", [Dyadic(0), Dyadic(1), Dyadic(-3, -2), Dyadic(1, 2000)])
+def test_comparisons_with_non_finite_floats(x):
+    # a dyadic is finite: unequal to ±inf and NaN, between -inf and inf, and
+    # unordered against NaN, as a float is
+    inf, nan = float("inf"), float("nan")
+    for y in (inf, -inf, nan):
+        assert not x == y and x != y
+    assert x < inf and x <= inf and not x > inf and not x >= inf
+    assert x > -inf and x >= -inf and not x < -inf and not x <= -inf
+    assert not (x < nan or x <= nan or x > nan or x >= nan)
+    assert -inf < x < inf and not nan < x and not nan >= x

@@ -377,3 +377,43 @@ def test_times_and_values_are_tuples_of_python_scalars(mode):
         assert type(q.times == p.times) is bool
         assert type(q.values == p.values) is bool
     assert derived[-1].times == p.times and derived[-1].values == p.values
+
+
+_ONE = {"m": "1", "e": 0}
+
+
+@pytest.mark.parametrize("mode, values, message", [
+    (FLOAT, [[1, 2], [3]], "malformed 'values': each entry must be a pair"),
+    (FLOAT, [[1, 2, 3], [1, 2, 3]], "malformed 'values': each entry must be a pair"),
+    (FLOAT, [1, 2], "malformed 'values': each entry must be a pair"),
+    (FLOAT, "a", "malformed 'values': 'a'"),
+    (FLOAT, None, "malformed 'values': None"),
+    (FLOAT, [[1, "a"], [2, 3]], "malformed float scalar: 'a'"),
+    (FLOAT, [[1, None], [2, 3]], "malformed float scalar: None"),
+    (FLOAT, [[1, _ONE], [2, 3]], "exact scalar found in a float-mode document"),
+    (EXACT, [[_ONE, _ONE], [_ONE]], "malformed 'values': each entry must be a pair"),
+    (EXACT, [[_ONE] * 3] * 2, "malformed 'values': each entry must be a pair"),
+    (EXACT, [_ONE, _ONE], "malformed 'values': each entry must be a pair"),
+    (EXACT, "a", "malformed 'values': 'a'"),
+    (EXACT, None, "malformed 'values': None"),
+    (EXACT, [[_ONE, "a"], [_ONE, _ONE]], "malformed exact scalar: 'a'"),
+    (EXACT, [[_ONE, None], [_ONE, _ONE]], "malformed exact scalar: None"),
+    (EXACT, [[_ONE, 1.5], [_ONE, _ONE]], "malformed exact scalar: 1.5"),
+    (EXACT, [[_ONE, "me"], [_ONE, _ONE]], "malformed exact scalar: 'me'"),
+    (EXACT, [[_ONE, {"m": "1"}], [_ONE, _ONE]], "malformed exact scalar: {'m': '1'}"),
+    (EXACT, [[_ONE, {"m": "1", "x": 0}], [_ONE, _ONE]], "malformed exact scalar: {'m': '1', 'x': 0}"),
+    (EXACT, [[_ONE, {"m": "x", "e": 0}], [_ONE, _ONE]], "malformed exact scalar: {'m': 'x', 'e': 0}"),
+])
+def test_path_from_json_names_malformed_values(mode, values, message):
+    times = [0, 1] if mode == FLOAT else [{"m": "0", "e": 0}, _ONE]
+    with pytest.raises(UsageError) as err:
+        serialize.path_from_json({"mode": mode, "times": times, "values": values})
+    assert str(err.value) == message
+
+
+def test_path_from_json_reads_non_canonical_exact_scalars():
+    doc = {"mode": EXACT, "times": [{"m": "0", "e": -7}, {"m": 4, "e": "-2"}],
+           "values": [[{"m": "-6", "e": 3}, {"m": "0", "e": 5}], [_ONE, {"m": "3", "e": -1600}]]}
+    p = serialize.path_from_json(doc)
+    assert p.times == (Dyadic(0), Dyadic(1))
+    assert p.values == ((Dyadic(-3, 4), Dyadic(0)), (Dyadic(1), Dyadic(3, -1600)))
