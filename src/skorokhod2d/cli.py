@@ -60,14 +60,6 @@ def _parse_number(text: str, exact: bool):
     return float(_fraction(text))
 
 
-def _parse_a1(text: str):
-    """Exact when a1 is dyadic; the construction itself falls back to float."""
-    try:
-        return _parse_number(text, exact=True)
-    except ExactnessError:
-        return _parse_number(text, exact=False)
-
-
 def _parse_matrix(text: str, exact: bool) -> ReflectionMatrix2:
     parts = text.split(",")
     if len(parts) != 2:
@@ -139,7 +131,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    bundle = build_counterexample(_parse_a1(args.a1), args.depth)
+    bundle = build_counterexample(_fraction(args.a1), args.depth)
     doc = {
         "a1": float(bundle.R.a1),
         "depth": bundle.depth,
@@ -194,7 +186,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    bundle = build_counterexample(_parse_a1(args.a1), args.depth)
+    bundle = build_counterexample(_fraction(args.a1), args.depth)
     svg = emit_figure(
         bundle, size=args.size, coord_range=args.range, min_time=args.min_time
     )

@@ -115,11 +115,11 @@ def _guard_geometry(u: PLPath2, a1) -> None:
     coordinate per segment (the other is copied bit for bit). Both hold by
     construction; the guard protects against regressions when a1 != -2."""
     x1, x2 = u.x.T
-    on = [negligible(x1 + y, np.maximum(abs(x1), abs(y)), u.mode) for y in (x2, a1 * x2)]
+    on = [negligible(x1 + y, np.maximum(abs(x1), abs(y))) for y in (x2, a1 * x2)]
     off = np.nonzero(~(on[0] | on[1]))[0]  # u1 + u2 = 0 or u1 + a1 u2 = 0
     if len(off):
         raise ConstructionError(f"breakpoint {u.values[off[0]]} lies on neither reference line")
-    moved = np.diff(u.x, axis=0) != _coerce_scalar(0, u.mode)
+    moved = np.diff(u.x, axis=0) != 0
     both = np.nonzero(moved[:, 0] == moved[:, 1])[0]
     if len(both):
         raise ConstructionError(f"segment {both[0]} must change exactly one coordinate")
@@ -129,14 +129,13 @@ def build_counterexample(a1, depth: int = 40, mode: str = "auto") -> Counterexam
     """Full bundle: spiral, decomposition, driving function and both solutions."""
     use_mode, a1c, rho = _resolve_mode(a1, depth, mode)
     u = _spiral(depth, use_mode, a1c, rho)
-    zero = _coerce_scalar(0, use_mode)
     R = ReflectionMatrix2(a1c, _coerce_scalar(1, use_mode))
 
     base = jordan_decompose(u)
     # Offset by the split of u(t_depth) so that m - mbar = u exactly; the
     # offset mass is part of the tail the finite range cannot represent.
     u0 = u.x[0]
-    m_off = np.where(u0 > zero, u0, zero)
+    m_off = np.where(u0 > 0, u0, 0)
     mb_off = m_off - u0
     m = PLPath2(u.t, base.m.x + m_off, use_mode)
     mbar = PLPath2(u.t, base.mbar.x + mb_off, use_mode)

@@ -7,12 +7,17 @@ division is supported only when the quotient is again dyadic.
 `Dyadic` is the scalar. Its canonical form keeps the mantissa odd (or zero
 with exp2 = 0), so equality is structural. `DyadicArray` holds an array of
 dyadic numbers as one numpy object array of Python ints `m` and one exponent
-`e` for the whole array, value m * 2**e. Operators, comparisons and the numpy
-functions the paths use (`diff`, `cumsum`, `where`, `searchsorted`, `sort`,
-...) run as numpy loops over the ints, with no Python frame per scalar: two
-operands are first put on their lower exponent, one shift per array.
-Quotients check exactness with one vectorised remainder by the odd part of
-the divisor. Scalars read out of an array are `Dyadic`.
+`e` for the whole array, value m * 2**e.
+
+There is one arithmetic for both. Each operation is a kernel on
+(mantissa, exponent) parts, where a mantissa is a Python int or an object
+array of them: two operands are first put on their lower exponent, one shift
+per array, and quotients check exactness with one remainder by the odd part
+of the divisor. `Dyadic`'s operators and comparisons, and `DyadicArray`'s
+operators, ufuncs and numpy functions (`diff`, `cumsum`, `where`,
+`searchsorted`, `sort`, ...) all call these kernels, so array work runs as
+numpy loops over the ints, with no Python frame per scalar. A scalar result
+is a `Dyadic`, an array result a `DyadicArray`.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ import numpy as np
 
 from .errors import ExactnessError
 
-NumberLike = Union["Dyadic", int, float, Fraction]
+NumberLike = Union["Dyadic", int, np.integer, float, Fraction]
+
+
+# --- the kernels: operands as (mantissa, exponent) parts ------------------------
 
 
 def _common(*parts):
@@ -34,6 +42,99 @@ def _common(*parts):
     lowest exponent; a zero scalar, exponent None, fits any exponent."""
     e = min((pe for _, pe in parts if pe is not None), default=0)
     return [pm if pe is None or pe == e else pm << (pe - e) for pm, pe in parts], e
+
+
+def _parts(x):
+    """(mantissa, exponent) of an array or scalar operand; exponent None for a
+    zero scalar. None when x is not a dyadic operand."""
+    if isinstance(x, DyadicArray):
+        return x.m, x.e
+    if isinstance(x, np.ndarray):
+        return None
+    d = Dyadic._coerce(x)
+    if d is NotImplemented:
+        return None
+    return d.mantissa, d.exp2 if d.mantissa else None
+
+
+def _wrap(m, e: int):
+    """An array result as a DyadicArray, a scalar one as a Dyadic."""
+    return DyadicArray(m, e) if isinstance(m, np.ndarray) else Dyadic(m, e)
+
+
+def _same_exponent(op):
+    """An elementwise operation whose result keeps the operands' common exponent."""
+    def apply(*parts):
+        ms, e = _common(*parts)
+        return _wrap(op(*ms), e)
+
+    return apply
+
+
+def _compare_ints(op):
+    def apply(*parts):
+        return op(*_common(*parts)[0])  # a bool, or a bool array
+
+    return apply
+
+
+def _multiply(a, b):
+    (ma, ea), (mb, eb) = a, b
+    return _wrap(ma * mb, (ea or 0) + (eb or 0))
+
+
+def _divide(a, b):
+    """a / b, exact or ExactnessError: b = odd * low with low a power of two,
+    and the result exponent drops by the largest low of the array."""
+    (na, ea), (nb, eb) = a, b
+    if eb is None or not np.all(nb != 0):
+        raise ZeroDivisionError("dyadic division by zero")
+    low = nb & -nb
+    big = low.max(initial=1) if isinstance(low, np.ndarray) else low
+    odd = nb // low
+    if not (isinstance(odd, int) and odd == 1):
+        rem = na % odd
+        bad = np.flatnonzero(rem != 0)
+        if len(bad):
+            n, d = (np.broadcast_to(np.asarray(x, dtype=object), np.shape(rem)).flat[bad[0]]
+                    for x in (na, nb))
+            raise ExactnessError(f"{Dyadic(n, ea or 0)!r} / {Dyadic(d, eb)!r} is not dyadic")
+        na = na // odd
+    if isinstance(low, np.ndarray):
+        na = na * (big // low)
+    return _wrap(na, (ea or 0) - eb - (big.bit_length() - 1))
+
+
+# operator functions act exactly on Python ints and on object arrays alike; a
+# ufunc would first cast two Python ints to int64, which wraps or overflows
+_add = _same_exponent(operator.add)
+_subtract = _same_exponent(operator.sub)
+
+
+def _scalar_op(kernel, reflected: bool = False):
+    """A Dyadic operator that runs the array kernel on (mantissa, exponent) parts."""
+    def op(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return kernel(o, _parts(self)) if reflected else kernel(_parts(self), o)
+
+    return op
+
+
+def _ordering(op):
+    """A Dyadic comparison on the kernel, after the rule for non-finite floats."""
+    kernel = _scalar_op(_compare_ints(op))
+
+    def compare(self, other):
+        if isinstance(other, float) and not math.isfinite(other):
+            return op(0.0, other)  # a finite number orders against ±inf and NaN as 0.0 does
+        return kernel(self, other)
+
+    return compare
+
+
+_equal = _ordering(operator.eq)
 
 
 class Dyadic:
@@ -105,59 +206,20 @@ class Dyadic:
             return x
         if isinstance(x, bool):
             raise TypeError("bool is not a number here")
-        if isinstance(x, int):
-            return Dyadic(x)
+        if isinstance(x, (int, np.integer)):
+            return Dyadic(operator.index(x))
         if isinstance(x, float):
             return Dyadic.from_float(x)
         if isinstance(x, Fraction):
             return Dyadic.from_fraction(x)
         return NotImplemented  # type: ignore[return-value]
 
-    def _linear(self, other: NumberLike, op):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        (ma, mb), e = _common((self.mantissa, self.exp2), (o.mantissa, o.exp2))
-        return Dyadic(op(ma, mb), e)
-
-    def __add__(self, other: NumberLike):
-        return self._linear(other, operator.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: NumberLike):
-        return self._linear(other, operator.sub)
-
-    def __rsub__(self, other: NumberLike):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: NumberLike):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Dyadic(self.mantissa * o.mantissa, self.exp2 + o.exp2)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: NumberLike):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.mantissa == 0:
-            raise ZeroDivisionError("dyadic division by zero")
-        q, r = divmod(self.mantissa, o.mantissa)
-        if r:
-            raise ExactnessError(f"{self!r} / {o!r} is not dyadic")
-        return Dyadic(q, self.exp2 - o.exp2)
-
-    def __rtruediv__(self, other: NumberLike):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+    __add__ = __radd__ = _scalar_op(_add)
+    __sub__ = _scalar_op(_subtract)
+    __rsub__ = _scalar_op(_subtract, reflected=True)
+    __mul__ = __rmul__ = _scalar_op(_multiply)
+    __truediv__ = _scalar_op(_divide)
+    __rtruediv__ = _scalar_op(_divide, reflected=True)
 
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.mantissa, self.exp2)
@@ -187,33 +249,17 @@ class Dyadic:
 
     # --- comparisons ------------------------------------------------------
 
-    def _compare(self, other, op):
-        if isinstance(other, float) and not math.isfinite(other):
-            return op(0.0, other)  # a finite number orders against ±inf and NaN as 0.0 does
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        (ma, mb), _ = _common((self.mantissa, self.exp2), (o.mantissa, o.exp2))
-        return op(ma, mb)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Dyadic):  # canonical form: equal values, equal fields
             return self.mantissa == other.mantissa and self.exp2 == other.exp2
         if isinstance(other, (int, Fraction, float)):
-            return self._compare(other, operator.eq)
+            return _equal(self, other)
         return NotImplemented
 
-    def __lt__(self, other):
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other):
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other):
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other):
-        return self._compare(other, operator.ge)
+    __lt__ = _ordering(operator.lt)
+    __le__ = _ordering(operator.le)
+    __gt__ = _ordering(operator.gt)
+    __ge__ = _ordering(operator.ge)
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())
@@ -243,79 +289,19 @@ def parse_exact(text: str) -> Dyadic:
 
 # --- arrays -------------------------------------------------------------------
 
-def _parts(x):
-    """(mantissa, exponent) of an array or scalar operand; exponent None for a
-    zero scalar. None when x is not a dyadic operand."""
-    if isinstance(x, DyadicArray):
-        return x.m, x.e
-    if isinstance(x, np.ndarray):
-        return None
-    d = Dyadic._coerce(x)
-    if d is NotImplemented:
-        return None
-    return d.mantissa, d.exp2 if d.mantissa else None
-
-
-def _wrap(m, e: int):
-    """An array result as a DyadicArray, a scalar one as a Dyadic."""
-    return DyadicArray(m, e) if isinstance(m, np.ndarray) else Dyadic(m, e)
-
-
-def _same_exponent(ufunc):
-    """An elementwise ufunc whose result keeps the operands' common exponent."""
-    def apply(*parts):
-        ms, e = _common(*parts)
-        return DyadicArray(ufunc(*ms), e)
-
-    return apply
-
-
-def _compare_ints(ufunc):
-    def apply(*parts):
-        return ufunc(*_common(*parts)[0])  # a bool array
-
-    return apply
-
-
-def _multiply(a, b):
-    (ma, ea), (mb, eb) = a, b
-    return DyadicArray(ma * mb, (ea or 0) + (eb or 0))
-
-
-def _divide(a, b):
-    """a / b, exact or ExactnessError: b = odd * low with low a power of two,
-    and the result exponent drops by the largest low of the array."""
-    (na, ea), (nb, eb) = a, b
-    if eb is None:
-        raise ZeroDivisionError("dyadic division by zero")
-    low = nb & -nb
-    big = low.max(initial=1) if isinstance(low, np.ndarray) else low
-    odd = nb // low
-    if not (isinstance(odd, int) and odd == 1):
-        rem = na % odd
-        bad = np.flatnonzero(rem != 0)
-        if len(bad):
-            n, d = (np.broadcast_to(x, rem.shape).flat[bad[0]] for x in (na, nb))
-            raise ExactnessError(f"{Dyadic(n, ea or 0)!r} / {Dyadic(d, eb)!r} is not dyadic")
-        na = na // odd
-    if isinstance(low, np.ndarray):
-        na = na * (big // low)
-    return DyadicArray(na, (ea or 0) - eb - (big.bit_length() - 1))
-
-
 _UFUNCS = {
-    np.add: _same_exponent(np.add),
-    np.subtract: _same_exponent(np.subtract),
-    np.maximum: _same_exponent(np.maximum),
+    np.add: _add,
+    np.subtract: _subtract,
+    np.maximum: _same_exponent(np.maximum),  # only arrays reach these two
     np.minimum: _same_exponent(np.minimum),
-    np.less: _compare_ints(np.less),
-    np.less_equal: _compare_ints(np.less_equal),
-    np.greater: _compare_ints(np.greater),
-    np.greater_equal: _compare_ints(np.greater_equal),
-    np.equal: _compare_ints(np.equal),
-    np.not_equal: _compare_ints(np.not_equal),
-    np.negative: _same_exponent(np.negative),
-    np.absolute: _same_exponent(np.absolute),
+    np.less: _compare_ints(operator.lt),
+    np.less_equal: _compare_ints(operator.le),
+    np.greater: _compare_ints(operator.gt),
+    np.greater_equal: _compare_ints(operator.ge),
+    np.equal: _compare_ints(operator.eq),
+    np.not_equal: _compare_ints(operator.ne),
+    np.negative: _same_exponent(operator.neg),
+    np.absolute: _same_exponent(operator.abs),
     np.multiply: _multiply,
     np.true_divide: _divide,
 }

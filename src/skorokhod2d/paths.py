@@ -7,10 +7,14 @@ doubles). The two modes never mix inside one path or one binary operation.
 
 A path keeps read-only arrays `t` (n,) and `x` (n, 2): float64 in float
 mode; in exact mode each is a `DyadicArray`, one numpy object array of Python
-ints and one power of two for the whole array, so t = t.m * 2**t.e. Each
+ints and one power of two for the whole array, so t = t.m * 2**t.e. The mode
+is the type of the arrays, not a stored field: only the converters of raw
+input (`PLPath2(...)`, `merge_times`, `with_times`, `eval` and the scalar
+arguments of `matrix_apply` and `scale_components`) take a mode. Each
 operation is one piece of array code for both modes, and in exact mode it runs
-as numpy loops over ints. `times`, `values` and `eval` give Python floats or
-Dyadic, built on each use. Values between breakpoints come from
+as numpy loops over ints; constants such as 0 are plain Python ints, which
+the exact kernels take as they are. `times`, `values` and `eval` give Python
+floats or Dyadic, built on each use. Values between breakpoints come from
 v0 + (t - t0) * (v1 - v0) / (t1 - t0), sign changes from
 t0 + (t1 - t0) * d0 / (d0 - d1): exact in exact mode, or ExactnessError when
 a quotient is not dyadic.
@@ -41,9 +45,10 @@ FLOAT = "float"
 #: relative size below which a float quantity is negligible
 FLOAT_DEDUP = 2.0**-40
 
-def negligible(x, ref, mode: str):
-    """x == 0 in exact mode, |x| <= FLOAT_DEDUP * ref (ref in x's units) in float."""
-    if mode == EXACT:
+def negligible(x, ref):
+    """x == 0 when x is exact (a Dyadic or DyadicArray); else the float rule
+    |x| <= FLOAT_DEDUP * ref, with ref in x's units."""
+    if isinstance(x, (Dyadic, DyadicArray)):
         return x == 0
     return abs(x) <= FLOAT_DEDUP * ref
 
@@ -92,20 +97,25 @@ class PLPath2:
         t, x = _grid(times, mode), _array(values, mode)
         if x.shape != (len(t), 2):
             raise UsageError("values must hold one (x1, x2) pair per time")
-        self._freeze(t, x, mode)
+        self._freeze(t, x)
 
     @classmethod
-    def _of(cls, t, x, mode: str) -> "PLPath2":
-        """Path on arrays that already hold the mode's scalars on a valid grid."""
-        return cls.__new__(cls)._freeze(t, x, mode)
+    def _of(cls, t, x) -> "PLPath2":
+        """Path on arrays of one mode's scalars that already form a valid grid."""
+        return cls.__new__(cls)._freeze(t, x)
 
-    def _freeze(self, t, x, mode) -> "PLPath2":
-        if mode == EXACT:
+    def _freeze(self, t, x) -> "PLPath2":
+        if isinstance(t, DyadicArray):
             t, x = t.frozen(), x.frozen()
         else:
             t.flags.writeable = x.flags.writeable = False
-        self.t, self.x, self.mode = t, x, mode
+        self.t, self.x = t, x
         return self
+
+    @property
+    def mode(self) -> str:
+        """EXACT when the arrays are DyadicArrays, else FLOAT."""
+        return EXACT if isinstance(self.t, DyadicArray) else FLOAT
 
     def __repr__(self) -> str:
         return f"PLPath2({self.times!r}, {self.values!r}, {self.mode!r})"
@@ -170,28 +180,26 @@ def merge_times(base: Sequence, *extras: Sequence, mode: str) -> list:
     joins unless it is the same breakpoint as a time already kept; extras
     are folded in order.
     """
-    return _merge(base, *extras, mode=mode).tolist()
-
-
-def _merge(base, *extras, mode: str):
-    """`merge_times` as an array of the mode's scalars. Exact times are ints on
-    one exponent, so exact equality is int equality and nothing is hashed."""
     _check_mode(mode)
-    merged = _asarray(base, mode)
-    for extra in extras:
-        e = _asarray(extra, mode)
+    return _merge(_asarray(base, mode), *(_asarray(e, mode) for e in extras)).tolist()
+
+
+def _merge(merged, *extras):
+    """`merge_times` on time arrays of one mode's scalars. Exact times are ints
+    on one exponent, so exact equality is int equality and nothing is hashed."""
+    for e in extras:
         if not len(e) or _same(merged, e):
             continue
         i = np.searchsorted(merged, e)  # merged[i - 1] < e <= merged[i]
         below = merged[np.maximum(i - 1, 0)]
         above = merged[np.minimum(i, len(merged) - 1)]
-        e = e[~(_times_equal(below, e, mode) | _times_equal(above, e, mode))]
-        if np.any(_times_equal(e[:-1], e[1:], mode)):
-            kept: list = []
-            for t in e.tolist():  # of extras that are one breakpoint, the first wins
-                if not (kept and _times_equal(kept[-1], t, mode)):
-                    kept.append(t)
-            e = _asarray(kept, mode)
+        e = e[~(_times_equal(below, e) | _times_equal(above, e))]
+        if np.any(_times_equal(e[:-1], e[1:])):
+            kept = [0]
+            for k in range(1, len(e)):  # of extras that are one breakpoint, the first wins
+                if not _times_equal(e[kept[-1]], e[k]):
+                    kept.append(k)
+            e = e[kept]
         merged = np.sort(np.concatenate([merged, e]))
     return merged
 
@@ -207,9 +215,9 @@ def _same(s, t) -> bool:
     return len(s) == len(t) and bool(np.all(s == t))
 
 
-def _times_equal(s, t, mode: str):
+def _times_equal(s, t):
     """The breakpoint rule's equality; elementwise on arrays."""
-    return negligible(t - s, np.maximum(abs(s), abs(t)), mode)
+    return negligible(t - s, np.maximum(abs(s), abs(t)))
 
 
 def with_times(path: PLPath2, new_times: Sequence) -> PLPath2:
@@ -220,13 +228,13 @@ def with_times(path: PLPath2, new_times: Sequence) -> PLPath2:
 
 def _regrid(path: PLPath2, s) -> PLPath2:
     """`with_times` for a grid s that already holds the mode's scalars."""
-    t, x, mode = path.t, path.x, path.mode
+    t, x = path.t, path.x
     if _same(t, s):
-        return PLPath2._of(s, x, mode)
+        return PLPath2._of(s, x)
     c = s
     if s[0] < t[0] or s[-1] > t[-1]:  # s ascends: only its ends can leave the domain
         c = np.minimum(np.maximum(s, t[0]), t[-1])
-        off = np.nonzero(~_times_equal(c, s, mode))[0]
+        off = np.nonzero(~_times_equal(c, s))[0]
         if len(off):
             raise DomainError(f"t={s[off[0]]} outside [{t[0]}, {t[-1]}]")
     i = np.searchsorted(t, c)  # t[i - 1] < c <= t[i]
@@ -234,7 +242,7 @@ def _regrid(path: PLPath2, s) -> PLPath2:
     k = np.nonzero(t[i] != c)[0]
     j = i[k]
     out[k] = _interp(t[j - 1, None], t[j, None], x[j - 1], x[j], c[k, None])
-    return PLPath2._of(s, out, mode)
+    return PLPath2._of(s, out)
 
 
 def refine(*paths: PLPath2) -> tuple[PLPath2, ...]:
@@ -243,7 +251,7 @@ def refine(*paths: PLPath2) -> tuple[PLPath2, ...]:
     first = paths[0]
     for q in paths[1:]:
         _require_compatible(first, q)
-    grid = _merge(first.t, *(q.t for q in paths[1:]), mode=first.mode)
+    grid = _merge(first.t, *(q.t for q in paths[1:]))
     return tuple(_regrid(p, grid) for p in paths)
 
 
@@ -251,7 +259,7 @@ def _require_compatible(p: PLPath2, q: PLPath2) -> None:
     if p.mode != q.mode:
         raise UsageError(f"mode mismatch: {p.mode} vs {q.mode}")
     ends = ((p.t[0], q.t[0]), (p.t[-1], q.t[-1]))
-    if not all(_times_equal(s, t, p.mode) for s, t in ends):
+    if not all(_times_equal(s, t) for s, t in ends):
         raise UsageError("paths must share start and end times")
 
 
@@ -264,12 +272,11 @@ def jordan_decompose(u: PLPath2) -> MonotoneDecomp:
     On each segment every coordinate's increment goes wholly to m if positive,
     wholly to mbar if negative, so m and mbar never increase together.
     """
-    zero = _coerce_scalar(0, u.mode)
     d = np.diff(u.x, axis=0)
-    up = np.where(d > zero, d, zero)
+    up = np.where(d > 0, d, 0)
     start = u.x[:1] - u.x[:1]  # a zero row of u's scalars
     m, mbar = (np.cumsum(np.concatenate([start, inc]), axis=0) for inc in (up, up - d))
-    return MonotoneDecomp(PLPath2._of(u.t, m, u.mode), PLPath2._of(u.t, mbar, u.mode))
+    return MonotoneDecomp(PLPath2._of(u.t, m), PLPath2._of(u.t, mbar))
 
 
 # --- lattice / linear operations ---------------------------------------------
@@ -283,14 +290,13 @@ def _crossing_time(t0, t1, d0, d1):
 def _insert_crossings(p: PLPath2, d):
     """p's grid plus the times where a column of d (a row per time) strictly
     changes sign."""
-    zero = _coerce_scalar(0, p.mode)
-    pos, neg = d > zero, d < zero
+    pos, neg = d > 0, d < 0
     change = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
     crossings = []  # one ascending array per coordinate
     for j in (0, 1):
         i = np.nonzero(change[:, j])[0]
         crossings.append(_crossing_time(p.t[i], p.t[i + 1], d[i, j], d[i + 1, j]))
-    return _merge(p.t, *crossings, mode=p.mode)
+    return _merge(p.t, *crossings)
 
 
 def path_min(p: PLPath2, q: PLPath2) -> PLPath2:
@@ -298,28 +304,27 @@ def path_min(p: PLPath2, q: PLPath2) -> PLPath2:
     p, q = refine(p, q)
     grid = _insert_crossings(p, p.x - q.x)
     p, q = _regrid(p, grid), _regrid(q, grid)
-    return PLPath2._of(grid, np.minimum(p.x, q.x), p.mode)
+    return PLPath2._of(grid, np.minimum(p.x, q.x))
 
 
 def path_add(p: PLPath2, q: PLPath2) -> PLPath2:
     p, q = refine(p, q)
-    return PLPath2._of(p.t, p.x + q.x, p.mode)
+    return PLPath2._of(p.t, p.x + q.x)
 
 
 def path_sub(p: PLPath2, q: PLPath2) -> PLPath2:
     p, q = refine(p, q)
-    return PLPath2._of(p.t, p.x - q.x, p.mode)
+    return PLPath2._of(p.t, p.x - q.x)
 
 
 def negate(p: PLPath2) -> PLPath2:
-    return PLPath2._of(p.t, -p.x, p.mode)
+    return PLPath2._of(p.t, -p.x)
 
 
 def _part(p: PLPath2, sign: int) -> PLPath2:
-    zero = _coerce_scalar(0, p.mode)
     p = _regrid(p, _insert_crossings(p, p.x))
     x = p.x if sign > 0 else -p.x
-    return PLPath2._of(p.t, np.where(x > zero, x, zero), p.mode)
+    return PLPath2._of(p.t, np.where(x > 0, x, 0))
 
 
 def plus_part(p: PLPath2) -> PLPath2:
@@ -337,11 +342,11 @@ def matrix_apply(a1, a2, p: PLPath2) -> PLPath2:
     a1 = _coerce_scalar(a1, p.mode)
     a2 = _coerce_scalar(a2, p.mode)
     x1, x2 = p.x.T
-    return PLPath2._of(p.t, np.column_stack([x1 + a1 * x2, a2 * x1 + x2]), p.mode)
+    return PLPath2._of(p.t, np.column_stack([x1 + a1 * x2, a2 * x1 + x2]))
 
 
 def scale_components(p: PLPath2, c1, c2) -> PLPath2:
-    return PLPath2._of(p.t, _array([c1, c2], p.mode) * p.x, p.mode)
+    return PLPath2._of(p.t, _array([c1, c2], p.mode) * p.x)
 
 
 # --- Stieltjes integration ---------------------------------------------------
@@ -352,7 +357,7 @@ def stieltjes(g: PLPath2, m: PLPath2, j: int) -> Scalar:
     g, m = refine(g, m)
     dm = np.diff(m.x[:, j])
     down = np.nonzero(dm < 0)[0]
-    down = down[~negligible(dm[down], np.max(abs(m.x[:, j])), m.mode)]
+    down = down[~negligible(dm[down], np.max(abs(m.x[:, j])))]
     if len(down):
         raise UsageError(f"integrator decreases on segment {down[0]}")
     return trapezoid(g, m, j)
@@ -362,11 +367,11 @@ def trapezoid(g: PLPath2, m: PLPath2, j: int) -> Scalar:
     """Trapezoid sum of g_j dm_j over the grid that g and m already share."""
     gj = g.x[:, j]
     terms = (gj[:-1] + gj[1:]) * np.diff(m.x[:, j]) / 2
-    return _py(np.sum(terms, initial=_coerce_scalar(0, g.mode)))
+    return _py(np.sum(terms, initial=0))
 
 
 def total_variation(p: PLPath2, j: int) -> Scalar:
-    return _py(np.sum(abs(np.diff(p.x[:, j])), initial=_coerce_scalar(0, p.mode)))
+    return _py(np.sum(abs(np.diff(p.x[:, j])), initial=0))
 
 
 def sup_distance(p: PLPath2, q: PLPath2) -> Scalar:

@@ -68,7 +68,7 @@ def _grid_for(f: PLPath2, cfg: SolveConfig) -> np.ndarray:
     if cfg.grid is None:
         return f.t
     # keep f's breakpoints so the sampled f is the exact path
-    grid = _merge(f.t, cfg.grid, mode=FLOAT)
+    grid = _merge(f.t, np.asarray(cfg.grid, dtype=float))
     if grid[0] != f.t[0] or grid[-1] != f.t[-1]:
         raise UsageError("grid reaches outside the driving path's time domain")
     return grid
@@ -133,11 +133,11 @@ def solve_fixed_point(
             break
         m = np.column_stack([m1, m2])
         kinks = _kink_times(grid, np.column_stack([f1, f2]), m, a1, a2, eps)
-        enriched = _merge(grid, kinks, mode=FLOAT)
+        enriched = _merge(grid, np.asarray(kinks, dtype=float))
         if len(enriched) == len(grid):
             break
         f1, f2 = with_times(f, enriched).x.T.copy()
-        m1, m2 = with_times(PLPath2._of(grid, m, FLOAT), enriched).x.T.copy()
+        m1, m2 = with_times(PLPath2._of(grid, m), enriched).x.T.copy()
         grid = enriched
 
     g1 = f1 + m1 + a1 * m2

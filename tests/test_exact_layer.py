@@ -7,6 +7,7 @@ beyond 2^63, so a wrong shift, a lost exponent or an int64 cast shows.
 """
 
 import json
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from skorokhod2d import serialize
-from skorokhod2d.dyadic import Dyadic, DyadicArray
+from skorokhod2d.dyadic import Dyadic, DyadicArray, to_dyadic
 from skorokhod2d.errors import ExactnessError, UsageError
 from skorokhod2d.paths import (
     EXACT,
@@ -263,6 +264,53 @@ def frs(a):
     return a.as_fraction() if isinstance(a, Dyadic) else [frs(x) for x in a]
 
 
+SCALAR_OPS = [operator.add, operator.sub, operator.mul, operator.truediv, operator.lt,
+              operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
+
+#: right operands beside the drawn ones: zero, divisors of -2^k, ints beyond
+#: 2^63, Fractions (one not dyadic) and floats
+OPERANDS = [0, -1, -(2**5), 2**64 + 1, -(2**70), Dyadic(-1, -5), Fraction(-3, 4),
+            Fraction(1, 3), 0.375, -0.0, -1e300]
+
+
+def outcome(fn):
+    """fn()'s value (Fractions, a bool, or a list of either for an array), or
+    the type and message of the exactness or zero-division error it raises."""
+    try:
+        r = fn()
+    except (ExactnessError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(r, np.ndarray):
+        return [bool(v) for v in r]
+    assert isinstance(r, (bool, Dyadic, DyadicArray)), type(r)
+    return r if isinstance(r, bool) else frs(r)
+
+
+def reference(op, a, b):
+    """op on Fractions; the error type where the dyadic operation must raise."""
+    if not all(map(dyadic, (a, b))):
+        return ExactnessError  # an operand that is not dyadic
+    if op is operator.truediv and b == 0:
+        return ZeroDivisionError
+    r = op(a, b)
+    return ExactnessError if isinstance(r, Fraction) and not dyadic(r) else r
+
+
+def check_scalar_op(op, x, y):
+    """op(x, y) and op(y, x) for a Dyadic x: the scalar result, the result on
+    a one-element DyadicArray and the Fraction reference agree, and so do the
+    scalar and array errors."""
+    fx, fy = x.as_fraction(), y.as_fraction() if isinstance(y, Dyadic) else Fraction(y)
+    for order in (lambda v, w: (v, w), lambda v, w: (w, v)):
+        scalar = outcome(lambda: op(*order(x, y)))
+        array = outcome(lambda: op(*order(DyadicArray.of([x]), y)))
+        want = reference(op, *order(fx, fy))
+        if isinstance(scalar, tuple):
+            assert scalar[0] is want and array == scalar, (op, order(x, y))
+        else:
+            assert scalar == want and array == [want], (op, order(x, y))
+
+
 @SETTINGS
 @given(st.lists(st.tuples(dyadics(), dyadics()), min_size=1, max_size=6), dyadics())
 def test_array_operations_match_fractions(pairs, s):
@@ -313,6 +361,12 @@ def test_array_operations_match_fractions(pairs, s):
     c = a[:]
     c[1:] = b[1:]  # assignment from an array on another exponent
     assert frs(c) == fa[:1] + fb[1:]
+    # Dyadic scalars run on the same kernels: forward and reflected operators
+    # against Dyadic, int, Fraction and float
+    for x in (pairs[0][0], Dyadic(0), Dyadic(2**64 + 1, -3)):
+        for y in (s, pairs[-1][1], *OPERANDS):
+            for op in SCALAR_OPS:
+                check_scalar_op(op, x, y)
 
 
 # --- exactness and width ------------------------------------------------------
@@ -340,13 +394,22 @@ def test_values_beyond_int64_survive_paths_and_json():
     q = PLPath2(p.t, np.full((3, 2), 2**62, dtype=np.int64), EXACT)
     assert q.x.m.dtype == object
     assert matrix_apply(4, 4, q).values == ((Dyadic(5 * 2**62),) * 2,) * 3
+    # numpy integers are exact integers, in a list as in an array
+    three = np.int64(3)
+    assert to_dyadic(three) == 3 and frs(DyadicArray.of([three])) == [3]
+    assert frs(DyadicArray.of([1, 2]) * three) == [3, 6]
+    r = PLPath2([0, np.int64(1)], [[0, 0], [1, 1]], EXACT)
+    assert r.times == (0, 1) and r.values == PLPath2(np.array([0, 1]), [[0, 0], [1, 1]], EXACT).values
 
 
 def test_malformed_exact_array_inputs_raise():
     with pytest.raises(UsageError):
         PLPath2([0, 1], [(0, 0), (0, 0), (0, 0)], EXACT)
-    with pytest.raises(TypeError):
-        PLPath2([0, 1], [(0, 0), (True, 0)], EXACT)
+    for flag in (True, np.True_):
+        with pytest.raises(TypeError):
+            PLPath2([0, 1], [(0, 0), (flag, 0)], EXACT)
+        with pytest.raises(TypeError):
+            to_dyadic(flag)
 
 
 def test_a_paths_arrays_are_read_only():
