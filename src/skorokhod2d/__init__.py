@@ -43,7 +43,6 @@ from .paths import (
     jordan_decompose,
     matrix_apply,
     minus_part,
-    path_add,
     path_min,
     path_sub,
     plus_part,

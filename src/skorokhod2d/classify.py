@@ -6,6 +6,13 @@ sqrt(|a1*a2|) of |I - R|, and the uniqueness regime all depend only on
 (a1, a2). Criticality (|a1*a2| = 1) is decided exactly for exact inputs; for
 float inputs a band of width 2^-40 around 1 is treated as critical and the
 classification carries a caveat flag.
+
+Every function here reads matrix entries through one number rule
+(`_numbers`): they are exact Fractions when each is a Dyadic, an int or numpy
+integer (not a bool) or a Fraction, and floats otherwise. Two matrices are
+the same (`_same_matrix`) when their entries are equal, exactly or within
+CRITICAL_BAND. `diagonal_rescale` is the one transport of a matrix and of a
+candidate triple.
 """
 
 from __future__ import annotations
@@ -17,7 +24,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .dyadic import Dyadic, to_dyadic
+import numpy as np
+
+from .dyadic import Dyadic
 from .errors import ExactnessError, InvalidMatrixError, UsageError
 from . import paths
 
@@ -40,9 +49,6 @@ class ReflectionMatrix2:
     a1: object
     a2: object
 
-    def rows(self):
-        return ((1, self.a1), (self.a2, 1))
-
 
 class Regime(Enum):
     NotCompletelyS = "NotCompletelyS"
@@ -63,12 +69,23 @@ UNIQUENESS_NOTES = {
 }
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (Dyadic, int, Fraction)) and not isinstance(x, bool)
+def _numbers(*xs) -> tuple:
+    """The entries as Fractions when every one is exact (a Dyadic, an int or
+    numpy integer but not a bool, or a Fraction), else as floats."""
+    exact = (Dyadic, int, np.integer, Fraction)
+    if all(isinstance(x, exact) and not isinstance(x, bool) for x in xs):
+        return tuple(x.as_fraction() if isinstance(x, Dyadic) else
+                     x if isinstance(x, Fraction) else Fraction(int(x)) for x in xs)
+    return tuple(float(x) for x in xs)
 
 
-def _exact_value(x) -> Fraction:
-    return x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
+def _same_matrix(r1: ReflectionMatrix2, r2: ReflectionMatrix2) -> bool:
+    """Equal entries: exactly when all four are exact, else within
+    CRITICAL_BAND, as the entries are unitless."""
+    a1, a2, b1, b2 = _numbers(r1.a1, r1.a2, r2.a1, r2.a2)
+    if isinstance(a1, Fraction):
+        return a1 == b1 and a2 == b2
+    return abs(a1 - b1) <= CRITICAL_BAND and abs(a2 - b2) <= CRITICAL_BAND
 
 
 def normalize(M: GeneralMatrix2) -> tuple[ReflectionMatrix2, tuple]:
@@ -77,11 +94,7 @@ def normalize(M: GeneralMatrix2) -> tuple[ReflectionMatrix2, tuple]:
     The rescaled regulator is m~_i = d_i * m_i, so callers can map solutions
     of the normalized problem back to the original matrix.
     """
-    exact = all(_is_exact(x) for x in (M.r11, M.r12, M.r21, M.r22))
-    if exact:
-        r11, r12, r21, r22 = (_exact_value(x) for x in (M.r11, M.r12, M.r21, M.r22))
-    else:
-        r11, r12, r21, r22 = (float(x) for x in (M.r11, M.r12, M.r21, M.r22))
+    r11, r12, r21, r22 = _numbers(M.r11, M.r12, M.r21, M.r22)
     if not (r11 > 0 and r22 > 0):
         raise InvalidMatrixError("diagonal entries must be positive")
     return ReflectionMatrix2(r12 / r22, r21 / r11), (M.r11, M.r22)
@@ -89,14 +102,14 @@ def normalize(M: GeneralMatrix2) -> tuple[ReflectionMatrix2, tuple]:
 
 def _product(R: ReflectionMatrix2):
     """a1*a2 as Fraction when both entries are exact, else float."""
-    if _is_exact(R.a1) and _is_exact(R.a2):
-        return _exact_value(R.a1) * _exact_value(R.a2)
-    return float(R.a1) * float(R.a2)
+    a1, a2 = _numbers(R.a1, R.a2)
+    return a1 * a2
 
 
 def is_completely_s(R: ReflectionMatrix2) -> bool:
     """Existence criterion: some x >= 0 has Rx > 0."""
-    return R.a1 > 0 or R.a2 > 0 or _product(R) < 1
+    a1, a2 = _numbers(R.a1, R.a2)
+    return a1 > 0 or a2 > 0 or a1 * a2 < 1
 
 
 class RadiusResult(NamedTuple):
@@ -137,7 +150,8 @@ def classify_regime(R: ReflectionMatrix2) -> Regime:
     if not is_completely_s(R):
         return Regime.NotCompletelyS
     cmp1, _ = _criticality(R)
-    both_positive = R.a1 > 0 and R.a2 > 0
+    a1, a2 = _numbers(R.a1, R.a2)
+    both_positive = a1 > 0 and a2 > 0
     if cmp1 < 0:
         return Regime.Case1_UniqueContraction
     if cmp1 == 0:
@@ -179,31 +193,16 @@ def diagonal_rescale(R: ReflectionMatrix2, C, triple: Optional[object] = None):
     """
     if not C > 0:
         raise UsageError("rescale constant must be positive")
-    if _is_exact(R.a1) and _is_exact(C):
-        Cf = _exact_value(C)
-        a1 = _exact_value(R.a1) * Cf
-        a2 = _exact_value(R.a2) / Cf
-        S = ReflectionMatrix2(a1, a2)
-    else:
-        S = ReflectionMatrix2(float(R.a1) * float(C), float(R.a2) / float(C))
+    if triple is not None and triple.f.mode == paths.EXACT:
+        # an exact triple takes C exactly, so S is not rounded; 1/C must be dyadic
+        C = paths._coerce_scalar(C, paths.EXACT)
+    a1, a2, c = _numbers(R.a1, R.a2, C)
+    S = ReflectionMatrix2(a1 * c, a2 / c)
     if triple is None:
         return S, None
-    if triple.f.mode == paths.EXACT:
-        inv = Dyadic(1) / to_dyadic(C)
-        one = Dyadic(1)
-        S = ReflectionMatrix2(
-            to_dyadic(R.a1) * to_dyadic(C), to_dyadic(R.a2) * inv
-        )
-    else:
-        inv = 1.0 / float(C)
-        one = 1.0
-    kwargs = dict(
-        R=S,
-        f=paths.scale_components(triple.f, one, inv),
-        g=paths.scale_components(triple.g, one, inv),
-        m=paths.scale_components(triple.m, one, inv),
-    )
+    inv = 1 / paths._coerce_scalar(C, triple.f.mode)
+    moved = {k: paths.scale_components(getattr(triple, k), 1, inv) for k in "fgm"}
     tail = getattr(triple, "tail_bound", None)
     if tail is not None:
-        kwargs["tail_bound"] = tail * max(one, inv)
-    return S, dataclasses.replace(triple, **kwargs)
+        moved["tail_bound"] = tail * max(1, inv)
+    return S, dataclasses.replace(triple, R=S, **moved)

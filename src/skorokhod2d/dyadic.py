@@ -17,7 +17,9 @@ of the divisor. `Dyadic`'s operators and comparisons, and `DyadicArray`'s
 operators, ufuncs and numpy functions (`diff`, `cumsum`, `where`,
 `searchsorted`, `sort`, ...) all call these kernels, so array work runs as
 numpy loops over the ints, with no Python frame per scalar. A scalar result
-is a `Dyadic`, an array result a `DyadicArray`.
+is a `Dyadic`, an array result a `DyadicArray`. Comparisons, scalar or
+array, follow one rule for ±inf and NaN: a dyadic number orders against them
+as 0.0 does. Arithmetic with them raises ExactnessError.
 """
 
 from __future__ import annotations
@@ -62,27 +64,57 @@ def _wrap(m, e: int):
     return DyadicArray(m, e) if isinstance(m, np.ndarray) else Dyadic(m, e)
 
 
+def _on_parts(kernel):
+    """An operation on dyadic operands (DyadicArrays, Dyadics or numbers) that
+    runs kernel on their (mantissa, exponent) parts; NotImplemented for any
+    other operand."""
+    def apply(*xs):
+        parts = [_parts(x) for x in xs]
+        return NotImplemented if None in parts else kernel(*parts)
+
+    return apply
+
+
+def _reflected(op):
+    return lambda self, other: op(other, self)
+
+
 def _same_exponent(op):
     """An elementwise operation whose result keeps the operands' common exponent."""
     def apply(*parts):
         ms, e = _common(*parts)
         return _wrap(op(*ms), e)
 
-    return apply
+    return _on_parts(apply)
 
 
-def _compare_ints(op):
-    def apply(*parts):
-        return op(*_common(*parts)[0])  # a bool, or a bool array
-
-    return apply
+def _nonfinite(x) -> bool:
+    return isinstance(x, float) and not math.isfinite(x)
 
 
+def _comparison(op):
+    """An elementwise comparison of a dyadic operand with a number or another
+    dyadic operand: a bool, or a bool array."""
+    on_ints = _on_parts(lambda *parts: op(*_common(*parts)[0]))
+
+    def compare(a, b):
+        if not (_nonfinite(a) or _nonfinite(b)):
+            return on_ints(a, b)
+        # a finite number orders against ±inf and NaN as 0.0 does
+        out = op(*(x if _nonfinite(x) else 0.0 for x in (a, b)))
+        arrays = [x for x in (a, b) if isinstance(x, DyadicArray)]
+        return np.full(arrays[0].shape, out) if arrays else out
+
+    return compare
+
+
+@_on_parts
 def _multiply(a, b):
     (ma, ea), (mb, eb) = a, b
     return _wrap(ma * mb, (ea or 0) + (eb or 0))
 
 
+@_on_parts
 def _divide(a, b):
     """a / b, exact or ExactnessError: b = odd * low with low a power of two,
     and the result exponent drops by the largest low of the array."""
@@ -109,32 +141,8 @@ def _divide(a, b):
 # ufunc would first cast two Python ints to int64, which wraps or overflows
 _add = _same_exponent(operator.add)
 _subtract = _same_exponent(operator.sub)
-
-
-def _scalar_op(kernel, reflected: bool = False):
-    """A Dyadic operator that runs the array kernel on (mantissa, exponent) parts."""
-    def op(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return kernel(o, _parts(self)) if reflected else kernel(_parts(self), o)
-
-    return op
-
-
-def _ordering(op):
-    """A Dyadic comparison on the kernel, after the rule for non-finite floats."""
-    kernel = _scalar_op(_compare_ints(op))
-
-    def compare(self, other):
-        if isinstance(other, float) and not math.isfinite(other):
-            return op(0.0, other)  # a finite number orders against ±inf and NaN as 0.0 does
-        return kernel(self, other)
-
-    return compare
-
-
-_equal = _ordering(operator.eq)
+_lt, _le, _gt, _ge, _eq, _ne = map(_comparison, (
+    operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne))
 
 
 class Dyadic:
@@ -214,12 +222,12 @@ class Dyadic:
             return Dyadic.from_fraction(x)
         return NotImplemented  # type: ignore[return-value]
 
-    __add__ = __radd__ = _scalar_op(_add)
-    __sub__ = _scalar_op(_subtract)
-    __rsub__ = _scalar_op(_subtract, reflected=True)
-    __mul__ = __rmul__ = _scalar_op(_multiply)
-    __truediv__ = _scalar_op(_divide)
-    __rtruediv__ = _scalar_op(_divide, reflected=True)
+    __add__ = __radd__ = _add
+    __sub__ = _subtract
+    __rsub__ = _reflected(_subtract)
+    __mul__ = __rmul__ = _multiply
+    __truediv__ = _divide
+    __rtruediv__ = _reflected(_divide)
 
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.mantissa, self.exp2)
@@ -253,13 +261,10 @@ class Dyadic:
         if isinstance(other, Dyadic):  # canonical form: equal values, equal fields
             return self.mantissa == other.mantissa and self.exp2 == other.exp2
         if isinstance(other, (int, Fraction, float)):
-            return _equal(self, other)
+            return _eq(self, other)
         return NotImplemented
 
-    __lt__ = _ordering(operator.lt)
-    __le__ = _ordering(operator.le)
-    __gt__ = _ordering(operator.gt)
-    __ge__ = _ordering(operator.ge)
+    __lt__, __le__, __gt__, __ge__ = _lt, _le, _gt, _ge
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())
@@ -294,12 +299,12 @@ _UFUNCS = {
     np.subtract: _subtract,
     np.maximum: _same_exponent(np.maximum),  # only arrays reach these two
     np.minimum: _same_exponent(np.minimum),
-    np.less: _compare_ints(operator.lt),
-    np.less_equal: _compare_ints(operator.le),
-    np.greater: _compare_ints(operator.gt),
-    np.greater_equal: _compare_ints(operator.ge),
-    np.equal: _compare_ints(operator.eq),
-    np.not_equal: _compare_ints(operator.ne),
+    np.less: _lt,
+    np.less_equal: _le,
+    np.greater: _gt,
+    np.greater_equal: _ge,
+    np.equal: _eq,
+    np.not_equal: _ne,
     np.negative: _same_exponent(operator.neg),
     np.absolute: _same_exponent(operator.abs),
     np.multiply: _multiply,
@@ -413,10 +418,9 @@ class DyadicArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         apply = _UFUNCS.get(ufunc)
-        parts = [_parts(x) for x in inputs]
-        if method != "__call__" or kwargs or apply is None or None in parts:
+        if method != "__call__" or kwargs or apply is None:
             return NotImplemented
-        return apply(*parts)
+        return apply(*inputs)
 
     def __array_function__(self, func, types, args, kwargs):
         apply = _FUNCTIONS.get(func)

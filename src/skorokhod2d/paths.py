@@ -176,12 +176,15 @@ def _interp(t0, t1, v0, v1, t):
 def merge_times(base: Sequence, *extras: Sequence, mode: str) -> list:
     """Union of ascending time grids under the breakpoint rule.
 
-    Every time of the nonempty `base` is kept. Each time of an extra grid
+    Every time of `base`, a time grid, is kept. Each time of an extra grid
     joins unless it is the same breakpoint as a time already kept; extras
     are folded in order.
     """
     _check_mode(mode)
-    return _merge(_asarray(base, mode), *(_asarray(e, mode) for e in extras)).tolist()
+    extras = [_array(e, mode) for e in extras]
+    if any(e.ndim != 1 for e in extras):
+        raise UsageError("extra times must be a flat sequence of times")
+    return _merge(_grid(base, mode), *extras).tolist()
 
 
 def _merge(merged, *extras):
@@ -202,11 +205,6 @@ def _merge(merged, *extras):
             e = e[kept]
         merged = np.sort(np.concatenate([merged, e]))
     return merged
-
-
-def _asarray(a, mode: str):
-    """a as an array of the mode's scalars, without a copy where it already is one."""
-    return np.asarray(a, dtype=float) if mode == FLOAT else DyadicArray.of(a)
 
 
 def _same(s, t) -> bool:
@@ -305,11 +303,6 @@ def path_min(p: PLPath2, q: PLPath2) -> PLPath2:
     grid = _insert_crossings(p, p.x - q.x)
     p, q = _regrid(p, grid), _regrid(q, grid)
     return PLPath2._of(grid, np.minimum(p.x, q.x))
-
-
-def path_add(p: PLPath2, q: PLPath2) -> PLPath2:
-    p, q = refine(p, q)
-    return PLPath2._of(p.t, p.x + q.x)
 
 
 def path_sub(p: PLPath2, q: PLPath2) -> PLPath2:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
 from .errors import DivergenceError, StepInfeasibleError, UsageError
-from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _merge, with_times
+from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _grid, _merge, with_times
 
 
 @dataclass
@@ -43,8 +43,11 @@ class SolveConfig:
         if not 0 < self.damping <= 1:
             raise UsageError("damping must be in (0, 1]")
         if self.grid is not None:
-            g = np.asarray(self.grid, dtype=float)
-            if g.ndim != 1 or len(g) < 2 or np.any(np.diff(g) <= 0):
+            try:
+                g = _grid(self.grid, FLOAT)
+            except UsageError:
+                g = None
+            if g is None or len(g) < 2:
                 raise UsageError("grid must be strictly increasing with >= 2 points")
             self.grid = g
 
@@ -68,7 +71,7 @@ def _grid_for(f: PLPath2, cfg: SolveConfig) -> np.ndarray:
     if cfg.grid is None:
         return f.t
     # keep f's breakpoints so the sampled f is the exact path
-    grid = _merge(f.t, np.asarray(cfg.grid, dtype=float))
+    grid = _merge(f.t, cfg.grid)
     if grid[0] != f.t[0] or grid[-1] != f.t[-1]:
         raise UsageError("grid reaches outside the driving path's time domain")
     return grid

@@ -16,10 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import ReflectionMatrix2
+from .classify import ReflectionMatrix2, _same_matrix
 from .errors import UsageError
 from .paths import (
-    FLOAT_DEDUP,
     PLPath2,
     Scalar,
     _py,
@@ -185,24 +184,17 @@ class UniquenessDiagnostics:
         }
 
 
-def _matrices_close(r1: ReflectionMatrix2, r2: ReflectionMatrix2, tol) -> bool:
-    if tol == 0:
-        return r1.a1 == r2.a1 and r1.a2 == r2.a2
-    return abs(float(r1.a1) - float(r2.a1)) <= tol and abs(
-        float(r1.a2) - float(r2.a2)
-    ) <= tol
-
-
 def compare_solutions(
     s1: SolutionTriple, s2: SolutionTriple, tol
 ) -> UniquenessDiagnostics:
     """Difference diagnostics u = m - mbar for two candidate solutions.
 
     For a genuinely unique regime max_v should sit at the noise floor; for a
-    non-uniqueness pair v grows and v_monotone_on_support is False.
+    non-uniqueness pair v grows and v_monotone_on_support is False. The
+    matrices must be the same (`_same_matrix`); tol weighs values only.
     """
     _check_tol(tol)
-    if not _matrices_close(s1.R, s2.R, tol):
+    if not _same_matrix(s1.R, s2.R):
         raise UsageError("solutions use different reflection matrices")
     if sup_distance(s1.f, s2.f) > tol:
         raise UsageError("solutions have different driving functions")
@@ -212,7 +204,7 @@ def compare_solutions(
         u=u,
         v=tuple(v.tolist()),
         sector_sequence=_sectors(u.x),
-        v_monotone_on_support=not np.any((v[:-1] > tol) & (v[1:] > v[:-1] + tol)),
+        v_monotone_on_support=not np.any((v[:-1] > tol) & (v[1:] - v[:-1] > tol)),
         max_v=_py(np.max(v)),
     )
 
@@ -233,9 +225,9 @@ def check_e2_signs(s1: SolutionTriple, s2: SolutionTriple, tol=0.0) -> E2Report:
     Only meaningful for the canonical critical matrix [[1, -1], [1, 1]];
     midpoint values stand in for the measure-theoretic statement on PL data.
     """
-    canonical = ReflectionMatrix2(-1.0, 1.0)
+    canonical = ReflectionMatrix2(-1, 1)
     for s in (s1, s2):
-        if not _matrices_close(s.R, canonical, max(tol, FLOAT_DEDUP)):
+        if not _same_matrix(s.R, canonical):
             raise UsageError("check_e2_signs requires R = [[1, -1], [1, 1]]")
     u = path_sub(s1.m, s2.m).x.astype(float)
     mid = (u[:-1] + u[1:]) / 2

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,8 +18,11 @@ from skorokhod2d.classify import (
     normalize,
     spectral_radius_abs_q,
 )
+from skorokhod2d.counterexample import build_counterexample
 from skorokhod2d.dyadic import Dyadic
-from skorokhod2d.errors import InvalidMatrixError, UsageError
+from skorokhod2d.errors import ExactnessError, InvalidMatrixError, UsageError
+from skorokhod2d.paths import EXACT, PLPath2
+from skorokhod2d.verifier import SolutionTriple, verify
 
 
 def R(a1, a2):
@@ -78,9 +82,14 @@ def test_radius_exactness_flag():
 
 
 def test_exact_criticality_no_caveat():
-    c = classify(R(Dyadic(-1), Dyadic(1)))
-    assert c.regime == Regime.Case2_UniqueCritical
-    assert not c.critical_caveat
+    # Python and numpy integers are exact entries, as Dyadic and Fraction are
+    for a1, a2 in [(Dyadic(-1), Dyadic(1)), (-1, 1), (np.int64(-1), np.int64(1)),
+                   (Fraction(-1), np.int32(1))]:
+        c = classify(R(a1, a2))
+        assert c.regime == Regime.Case2_UniqueCritical
+        assert not c.critical_caveat
+        assert c.radius_exact and c.radius == 1.0
+        assert type(c.completely_s) is bool
 
 
 def test_float_critical_band():
@@ -108,6 +117,10 @@ def test_classification_record_fields():
     assert isinstance(c, Classification)
     assert c.completely_s
     assert c.uniqueness_note == "non-unique"
+    for entries in ((np.int64(-2), np.int64(1)), (np.float64(-2), np.float64(1))):
+        c = classify(R(*entries))
+        assert c.regime == Regime.Case4_NonUniqueOpposite
+        assert type(c.completely_s) is bool and c.completely_s
 
 
 def test_rescale_matrix_only():
@@ -115,6 +128,30 @@ def test_rescale_matrix_only():
     assert none is None
     assert S.a1 == -8 and S.a2 == Dyadic(1, -2)
     assert classify_regime(S) == Regime.Case4_NonUniqueOpposite
+    # S is exact only when a1, a2 and C all are, as for the product a1*a2
+    S, _ = diagonal_rescale(R(Dyadic(-1, -1), 0.5), Dyadic(2))
+    assert (S.a1, S.a2) == (-1.0, 0.25) and type(S.a1) is float and type(S.a2) is float
+    S, _ = diagonal_rescale(R(np.int64(-2), Fraction(1, 3)), np.int64(4))
+    assert (S.a1, S.a2) == (Fraction(-8), Fraction(1, 12))
+    # a triple moves with the same S, exact when the triple is
+    tr = build_counterexample(Dyadic(-2), depth=8).triple()
+    for C in (Dyadic(1, 3), 8, Dyadic(1, -2), Fraction(1, 4), 0.5, np.int64(2)):
+        T, moved = diagonal_rescale(tr.R, C, tr)
+        assert T == diagonal_rescale(tr.R, C)[0] and type(T.a1) is Fraction
+        assert moved.R == T and moved.f.mode == EXACT
+    # an exact triple needs a dyadic 1/C, though the matrix alone takes any C
+    for C in (3, 2**0.3, Fraction(1, 3)):
+        assert diagonal_rescale(tr.R, C)[1] is None
+        with pytest.raises(ExactnessError):
+            diagonal_rescale(tr.R, C, tr)
+    # and a float C does not round its S: a2 is wider than a double
+    w = Dyadic(2**60 + 1, -60)
+    wide = SolutionTriple(R(Dyadic(0), w), PLPath2([0, 1], [(0, 0), (-1, 0)], EXACT),
+                          PLPath2([0, 1], [(0, 0), (0, w)], EXACT),
+                          PLPath2([0, 1], [(0, 0), (1, 0)], EXACT))
+    T, moved = diagonal_rescale(wide.R, 0.5, wide)
+    assert T.a2 == Fraction(2**60 + 1, 2**59)
+    assert verify(wide, 0).passed and verify(moved, 0).passed
 
 
 def test_rescale_requires_positive_constant():

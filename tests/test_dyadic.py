@@ -1,9 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from skorokhod2d.dyadic import Dyadic, parse_exact, to_dyadic
+from skorokhod2d.dyadic import Dyadic, DyadicArray, parse_exact, to_dyadic
 from skorokhod2d.errors import ExactnessError
 
 
@@ -95,3 +96,18 @@ def test_comparisons_with_non_finite_floats(x):
     assert x > -inf and x >= -inf and not x < -inf and not x <= -inf
     assert not (x < nan or x <= nan or x > nan or x >= nan)
     assert -inf < x < inf and not nan < x and not nan >= x
+    # arrays follow the scalar rule elementwise, either side of the operator;
+    # arithmetic with a non-finite float still refuses
+    a = DyadicArray.of([[x, -x], [0, x + 1]])
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+        for y in (inf, -inf, nan):
+            for got, want in ((op(a, y), [[op(v, y) for v in r] for r in a.tolist()]),
+                              (op(y, a), [[op(y, v) for v in r] for r in a.tolist()])):
+                assert got.dtype == bool and got.tolist() == want
+    for y in (inf, -inf, nan):
+        for operand in (x, a):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(ExactnessError):
+                    op(operand, y)
+                with pytest.raises(ExactnessError):
+                    op(y, operand)

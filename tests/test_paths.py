@@ -335,6 +335,25 @@ def test_merge_times_has_no_absolute_floor():
     assert merge_times([0.0, 0.5, 1.0], [0.5 - 5e-14], mode=FLOAT) == [0.0, 0.5, 1.0]
 
 
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("base, extras, mode", [
+    ([0, 1], [[_NAN, 0.5]], FLOAT),  # a NaN extra
+    ([0, _INF], [[0.5]], FLOAT),  # an infinite base time
+    ([0, 1], [[0.5, -_INF]], FLOAT),
+    ([], [[1.0]], FLOAT),  # an empty base
+    ([1, 0], [[0.5]], FLOAT),  # a descending base
+    ([0, 1], [[[0.5]]], FLOAT),  # an extra that is not flat
+    ([0, 1], [0.5], FLOAT),
+    ([Dyadic(0), Dyadic(0)], [[Dyadic(1, -1)]], EXACT),
+    ([Dyadic(0), Dyadic(1)], [[[Dyadic(1, -1)]]], EXACT),
+])
+def test_merge_times_refuses_what_is_not_a_time_grid(base, extras, mode):
+    with pytest.raises(UsageError):
+        merge_times(base, *extras, mode=mode)
+
+
 def test_merge_times_exact_is_a_linear_walk(monkeypatch):
     def no_hash(self):
         raise AssertionError("exact merge must not hash Dyadic")

@@ -185,8 +185,9 @@ def test_input_validation():
         SolveConfig(tol=0)
     with pytest.raises(UsageError):
         SolveConfig(damping=0)
-    with pytest.raises(UsageError):
-        SolveConfig(grid=[1.0, 0.5])
+    for grid in ([1.0, 0.5], [0.0], [0.0, float("nan"), 1.0], [0.0, 0.5, float("inf")]):
+        with pytest.raises(UsageError, match="grid must be strictly increasing"):
+            SolveConfig(grid=grid)
     with pytest.raises(UsageError):
         solve_grid(ReflectionMatrix2(-1.0, -2.0),
                    float_path([0, 1], [(0, 0), (1, 1)]), SolveConfig())

@@ -163,6 +163,9 @@ def test_sector_partition_half_open():
 
 def test_compare_counterexample_solutions():
     b = build_counterexample(Dyadic(-2), depth=8)
+    # tol weighs values only: an infinite one passes everything, exact paths included
+    loose = compare_solutions(b.triple(), b.triple_bar(), tol=float("inf"))
+    assert loose.max_v == Dyadic(1) and loose.v_monotone_on_support
     diag = compare_solutions(b.triple(), b.triple_bar(), tol=0)
     # u = m - mbar is the spiral itself, so v expands toward 1
     assert diag.max_v == Dyadic(1)
@@ -178,6 +181,22 @@ def test_compare_rejects_mismatched_inputs():
     other = build_counterexample(Dyadic(-4), depth=8)
     with pytest.raises(UsageError):
         compare_solutions(b.triple(), other.triple(), tol=0)
+    # matrix entries are unitless: they match exactly, or within CRITICAL_BAND
+    # when one is a float, whatever the tol for values
+    zero = PLPath2((0.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), FLOAT)
+    exact_zero = PLPath2((0, 1), ((0, 0), (0, 0)), EXACT)
+    for (a, b_, path), same in [
+        ((-1.0, -1.0 + 1e-4, zero), False),
+        ((-1.0, -1.0 + 2.0**-45, zero), True),
+        ((Dyadic(-1), -(1 + Dyadic(1, -50)), exact_zero), False),
+        ((-1, np.int64(-1), exact_zero), True),
+    ]:
+        s1, s2 = (SolutionTriple(ReflectionMatrix2(a1, 1), path, path, path) for a1 in (a, b_))
+        if same:
+            assert compare_solutions(s1, s2, tol=1e-3).max_v == 0
+        else:
+            with pytest.raises(UsageError):
+                compare_solutions(s1, s2, tol=1e-3)
 
 
 def test_compare_identical_solutions_flat():
@@ -191,6 +210,13 @@ def test_e2_requires_canonical_matrix():
     b = build_counterexample(Dyadic(-2), depth=8)
     with pytest.raises(UsageError):
         check_e2_signs(b.triple(), b.triple_bar())
+    # the same matrix rule as compare_solutions; tol is the sign budget only
+    zero = PLPath2((0.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), FLOAT)
+    near = SolutionTriple(ReflectionMatrix2(-1.0 - 2.0**-45, 1.0), zero, zero, zero)
+    assert check_e2_signs(near, near)
+    off = SolutionTriple(ReflectionMatrix2(-1.0 - 1e-4, 1.0), zero, zero, zero)
+    with pytest.raises(UsageError):
+        check_e2_signs(off, off, tol=1e-3)
 
 
 def test_e2_sign_check_on_canonical_pair():
