@@ -13,11 +13,17 @@ inadmissible rates back to `_march`. The fixed-point solver iterates the
 one-dimensional regulator map coordinate-wise (Gauss-Seidel sweeps, optional
 damping; an overflow raises `DivergenceError`) and then inserts the step's
 event times as kinks into the grid, so the converged output is piecewise
-linear through the true solution's breakpoints.
+linear through the true solution's breakpoints. Near the fixed point the
+active sets freeze, the sweep is affine and its error shrinks by one rate
+per sweep, about |a1*a2| under a rotational matrix; once two successive
+rate estimates agree, the iteration jumps to the limit of that geometric
+series (Aitken's extrapolation). A jump after which the next sweep moves
+m more than the one before it is undone, and the round sweeps plainly on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -94,59 +100,101 @@ def solve_fixed_point(
 
     Geometric convergence when sqrt(|a1*a2|) < 1; damping < 1 extends the
     practical reach near the critical case without any convergence claim.
+    The iteration stops at a sweep that moves m by less than cfg.tol.
+
+    Extrapolated sweeps: after each sweep with change d, the rate estimate
+    r = <d, d_prev> / <d_prev, d_prev> is taken over both coordinates. When
+    two successive estimates agree to 1e-3 relative and |r| < 1, m jumps to
+    m + d * r / (1 - r), the limit of an error that shrinks by r per sweep.
+    If the sweep after a jump moves m more than the sweep before it, the
+    pre-jump state comes back and the round makes no more jumps. A jump is
+    not a sweep: `iterations` and cfg.max_iter count sweeps, and the result
+    is always the output of a sweep. Error modes that come in complex pairs
+    (damping < 1 at the critical matrix) give no stable rate and no jump.
+
     After convergence the grid is enriched with kinks: on each segment where
     a positive coordinate of g starts with its regulator rising, the marching
     step from the converged state gives the times where g reaches zero, so
-    complementarity holds to machine precision.
+    complementarity holds to machine precision. Each round of enrichment
+    iterates again from the converged m on the enriched grid.
     """
     _check_driving(f)
     a1, a2 = float(R.a1), float(R.a2)
     lam = cfg.damping
     grid = _grid_for(f, cfg)
-    f1, f2 = with_times(f, grid).x.T.copy()  # contiguous rows for the sweeps
+    fx = with_times(f, grid).x.T.copy()  # contiguous rows for the sweeps
 
     if init is None:
         init = (np.zeros_like(grid),) * 2
-    m1, m2 = (np.array(m, dtype=float) for m in init)
+    m1, m2 = (np.asarray(m, dtype=float) for m in init)
     if len(m1) != len(grid) or len(m2) != len(grid):
         raise UsageError("init arrays must match the grid length")
+    m = np.array([m1, m2])  # rows m1, m2
 
     total_iters = 0
     converged = False
     diff = np.inf
-    eps = FLOAT_DEDUP * float(max(np.max(np.abs(f1)), np.max(np.abs(f2))))
+    eps = FLOAT_DEDUP * float(np.max(np.abs(fx)))
 
     for round_index in range(1, 251):
         converged = False
+        jumps = True
+        rate = last = before = None
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for _ in range(cfg.max_iter):
                     total_iters += 1
-                    m1_new = (1 - lam) * m1 + lam * skorokhod_1d(f1 + a1 * m2)
-                    m2_new = (1 - lam) * m2 + lam * skorokhod_1d(f2 + a2 * m1_new)
-                    diff = max(float(np.max(np.abs(m1_new - m1))),
-                               float(np.max(np.abs(m2_new - m2))))
-                    m1, m2 = m1_new, m2_new
+                    m_new = np.empty_like(m)
+                    m_new[0] = (1 - lam) * m[0] + lam * skorokhod_1d(fx[0] + a1 * m[1])
+                    m_new[1] = (1 - lam) * m[1] + lam * skorokhod_1d(fx[1] + a2 * m_new[0])
+                    d = m_new - m
+                    diff = float(np.max(np.abs(d)))
                     if diff < cfg.tol:
-                        converged = True
+                        m, converged = m_new, True
                         break
+                    if before is not None:  # the first sweep after a jump
+                        (m_pre, diff_pre), before = before, None
+                        if diff > diff_pre:  # the jump overshot: undo it
+                            m, diff, jumps = m_pre, diff_pre, False
+                            continue
+                    m = m_new
+                    if not jumps:
+                        continue
+                    # the sweep's rate <d, d_prev> / <d_prev, d_prev>, on d
+                    # scaled by a power of two so that max|u| is in [1/2, 1)
+                    scale = math.ldexp(1.0, -math.frexp(diff)[1])
+                    u = d * scale
+                    r = None
+                    if last is not None:
+                        u_prev, sq_prev, scale_prev = last
+                        r = float(np.sum(u * u_prev)) / sq_prev * (scale_prev / scale)
+                    if rate is not None and abs(r) < 1 and abs(r - rate) <= 1e-3 * abs(r):
+                        # Aitken: the error shrinks by r per sweep, so jump
+                        # to the limit of the geometric series of changes
+                        before = (m, diff)
+                        m = m + d * (r / (1 - r))
+                        rate = last = None
+                    else:
+                        rate, last = r, (u, float(np.sum(u * u)), scale)
         except FloatingPointError:
             raise DivergenceError(round_index, total_iters) from None
         if not converged:
+            if before is not None:  # out of sweeps right after a jump
+                m, diff = before
             break
-        m = np.column_stack([m1, m2])
-        kinks = _kink_times(grid, np.column_stack([f1, f2]), m, a1, a2, eps)
+        kinks = _kink_times(grid, fx.T, m.T, a1, a2, eps)
         enriched = _merge(grid, np.asarray(kinks, dtype=float))
         if len(enriched) == len(grid):
             break
-        f1, f2 = with_times(f, enriched).x.T.copy()
-        m1, m2 = with_times(PLPath2._of(grid, m), enriched).x.T.copy()
+        fx = with_times(f, enriched).x.T.copy()
+        m = with_times(PLPath2._of(grid, m.T), enriched).x.T.copy()
         grid = enriched
 
+    (f1, f2), (m1, m2) = fx, m
     g1 = f1 + m1 + a1 * m2
     g2 = f2 + a2 * m1 + m2
     g_path = PLPath2(grid, np.column_stack([g1, g2]), FLOAT)
-    m_path = PLPath2(grid, np.column_stack([m1, m2]), FLOAT)
+    m_path = PLPath2(grid, m.T, FLOAT)
     return SolveResult(g_path, m_path, total_iters, converged, float(diff))
 
 

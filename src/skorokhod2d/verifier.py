@@ -10,6 +10,7 @@ sector partition of the plane, and the Lyapunov quantity v = max(|u1|, |u2|).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -96,8 +97,10 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
 
     integrals = [trapezoid(g, m, j) for j in (0, 1)]
 
-    # int g dm has units value^2: tol is weighed against m's total variation
+    # int g dm has units value^2: tol is weighed against m's total variation;
+    # an infinite tol stays infinite, also for exact paths and a constant m
     tv = total_variation(m, 0) + total_variation(m, 1)
+    budget = tol if tol == math.inf else tol * tv
 
     strict_ok: Optional[bool] = None
     if strict:
@@ -110,7 +113,7 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
         and min_g >= -tol
         and m_start <= start_budget
         and monotone_violation >= -tol
-        and all(c <= tol * tv for c in integrals)
+        and all(c <= budget for c in integrals)
         and (strict_ok is None or strict_ok)
     )
     return VerificationReport(

@@ -6,7 +6,7 @@ from skorokhod2d import solver
 from skorokhod2d.classify import CRITICAL_BAND, ReflectionMatrix2
 from skorokhod2d.dyadic import Dyadic
 from skorokhod2d.errors import DivergenceError, StepInfeasibleError, UsageError
-from skorokhod2d.paths import EXACT, FLOAT, FLOAT_DEDUP, PLPath2, sup_distance
+from skorokhod2d.paths import EXACT, FLOAT, FLOAT_DEDUP, PLPath2, sup_distance, with_times
 from skorokhod2d.solver import (
     RUN_GATE,
     SolveConfig,
@@ -387,6 +387,114 @@ def test_diverging_sweeps_raise_divergence_error():
         solve_fixed_point(ReflectionMatrix2(-2.0, -2.0), f, SolveConfig())
     assert info.value.round_index == 1
     assert 1 < info.value.sweep < SolveConfig().max_iter
+
+
+# --- extrapolated sweeps ------------------------------------------------------
+
+
+def plain_sweep_change(R, f, res, damping):
+    # one plain Gauss-Seidel sweep from the returned m on the returned grid
+    (f1, f2), (m1, m2) = with_times(f, res.m.t).x.T, res.m.x.T
+    a1, a2, lam = float(R.a1), float(R.a2), damping
+    n1 = (1 - lam) * m1 + lam * skorokhod_1d(f1 + a1 * m2)
+    n2 = (1 - lam) * m2 + lam * skorokhod_1d(f2 + a2 * n1)
+    return max(float(np.max(np.abs(n1 - m1))), float(np.max(np.abs(n2 - m2))))
+
+
+def contraction_problems():
+    # the criterion-3 problems: |a1*a2| <= 0.81, 20-segment walks started
+    # inside the quadrant, each from zero and from a ramp
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        while True:
+            a1, a2 = rng.uniform(-0.95, 0.95, size=2)
+            if abs(a1 * a2) <= 0.81:
+                break
+        start = (abs(rng.normal()), abs(rng.normal()))
+        ts = np.linspace(0.0, 1.0, 21)
+        vals = np.vstack([[0.0, 0.0], np.cumsum(rng.normal(size=(20, 2)), axis=0)]) + start
+        f = PLPath2(ts, vals, FLOAT)
+        for init in (None, (5.0 * ts, 5.0 * ts)):
+            yield ReflectionMatrix2(a1, a2), f, SolveConfig(tol=1e-10, max_iter=200), init
+
+
+def convergence_cases():
+    for a in (0.9, 0.95, 0.99):
+        for seed in range(4):
+            f = corner_walk(seed)
+            yield ReflectionMatrix2(a, -a), f, SolveConfig(tol=1e-12 * float(np.max(np.abs(f.x)))), None
+    yield from contraction_problems()
+    ts = np.linspace(0.0, 1.0, 33)
+    f = float_path(ts, [(np.sin(9 * t), np.cos(6 * t) - 1.0) for t in ts])
+    yield ReflectionMatrix2(-1.0, 1.0), f, SolveConfig(tol=1e-10, damping=0.5), None
+
+
+def test_converged_means_one_more_plain_sweep_stays_within_tol():
+    # a jump is not the stopping rule: the returned m is the output of a
+    # plain sweep that moved less than tol, and the next one moves less too
+    checked = 0
+    for R, f, cfg, init in convergence_cases():
+        res = solve_fixed_point(R, f, cfg, init=init)
+        if res.converged:
+            checked += 1
+            assert plain_sweep_change(R, f, res, cfg.damping) < cfg.tol
+    assert checked == 12 + 100 + 1
+
+
+@pytest.mark.parametrize("a", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("seed", range(4))
+def test_extrapolated_sweeps_stay_few_near_the_critical_radius(a, seed):
+    # plain sweeps contract by about a^2 per sweep, about 1,100-1,200 sweeps
+    # at a = 0.99; the jump along the slow mode leaves a handful, and the
+    # converged state is close enough that no inserted kink is found again
+    f = corner_walk(seed)
+    R = ReflectionMatrix2(a, -a)
+    cfg = SolveConfig(tol=1e-12 * float(np.max(np.abs(f.x))))
+    fixed = solve_fixed_point(R, f, cfg)
+    grid = solve_grid(R, f, cfg)
+    assert fixed.converged
+    assert fixed.iterations <= 50
+    assert len(fixed.m) == len(grid.m)
+
+
+def test_safeguard_undoes_a_jump_that_overshoots(monkeypatch):
+    # The sweep right after the first jump is knocked off course, so it moves
+    # m more than the sweep before the jump. The solver must then go back to
+    # the state before the jump and sweep on plainly: at damping 1 a sweep
+    # starts from h1 = f1 + a1 * m2, m2 the last sweep's second regulator, and
+    # a spy on the regulator sees the jump and the return as the only two
+    # first-half inputs that do not come from the last second half.
+    a = 0.99
+    f = corner_walk(0)
+    sup = float(np.max(np.abs(f.x)))
+    R = ReflectionMatrix2(a, -a)
+    f1, n = f.x[:, 0], len(f)
+    regulator = skorokhod_1d
+    calls, breaks, seconds = [0], [], [np.zeros(n)]
+
+    def spy(h):
+        out = regulator(h)
+        if len(h) != n:  # a later round, on the enriched grid
+            return out
+        calls[0] += 1
+        if calls[0] % 2 == 0:
+            seconds.append(out)
+            return out
+        if np.array_equal(h, f1 + a * seconds[-1]):
+            return out
+        breaks.append(calls[0])
+        if len(breaks) == 1:  # the sweep after the first jump
+            return out + sup
+        # the sweep after the undo starts from the pre-jump state
+        assert np.array_equal(h, f1 + a * seconds[-2])
+        return out
+
+    monkeypatch.setattr(solver, "skorokhod_1d", spy)
+    res = solve_fixed_point(R, f, SolveConfig(tol=1e-12 * sup))
+    assert len(breaks) == 2 and breaks[1] == breaks[0] + 2
+    assert res.converged
+    assert res.iterations > 1000  # no jump after the undo: plain sweeps
+    assert verify(SolutionTriple(R, f, res.g, res.m), tol=1e-9 * sup).passed
 
 
 # --- the support rule on arrays ----------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -159,6 +161,21 @@ def test_sector_partition_half_open():
     assert sector_of((Dyadic(-1), Dyadic(0))) == Sector.W
     assert sector_of((Dyadic(-1), Dyadic(1))) == Sector.W
     assert sector_of((Dyadic(0), Dyadic(0))) == Sector.Origin
+
+
+def test_infinite_tol_passes_every_triple():
+    # like compare_solutions, verify takes tol = inf in both modes; the
+    # complementarity budget stays infinite where m's total variation is
+    # exact or zero
+    triple = build_counterexample(Dyadic(-2), depth=8).triple()
+    rep = verify(triple, float("inf"))
+    assert rep.passed and rep.to_json()["tol"] == float("inf")
+    raised = replace(triple, g=scale_components(triple.g, Dyadic(2), Dyadic(2)))
+    assert not verify(raised, 0).passed
+    assert verify(raised, float("inf")).passed
+    f = PLPath2((0.0, 1.0), ((1.0, 1.0), (2.0, 2.0)), FLOAT)
+    still = PLPath2((0.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), FLOAT)
+    assert verify(SolutionTriple(ReflectionMatrix2(0.5, 0.5), f, f, still), float("inf")).passed
 
 
 def test_compare_counterexample_solutions():
