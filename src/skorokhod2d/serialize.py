@@ -3,7 +3,8 @@
 Exact scalars serialize as {"m": "<decimal-integer-string>", "e": <int>}
 meaning m * 2^e, in the canonical form of `Dyadic`; float scalars are plain
 JSON numbers. Exact path arrays go straight between these objects and their
-Python-int mantissas, and float ones through one numpy conversion. The round
+Python-int mantissas, and float ones through one numpy conversion (a
+well-formed float field through `np.fromiter` on its flat numbers). The round
 trip is bit-identical in exact mode. Decoding a malformed document raises
 UsageError naming the missing or malformed key or scalar, and so does an
 exact array too wide to hold (`MAX_EXACT_BITS`).
@@ -12,7 +13,7 @@ exact array too wide to hold (`MAX_EXACT_BITS`).
 from __future__ import annotations
 
 import io
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Any
 
@@ -56,7 +57,7 @@ def scalar_from_json(obj: Any, mode: str):
         raise UsageError("exact scalar found in a float-mode document")
     try:
         return Dyadic(int(obj["m"]), int(obj["e"])) if mode == EXACT else float(obj)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int beyond the double range
         raise UsageError(f"malformed {mode} scalar: {obj!r}") from None
 
 
@@ -85,10 +86,19 @@ def path_from_json(obj: dict) -> PLPath2:
 
 def _cells(items: list, mode: str) -> np.ndarray:
     """The field as one array: float64 when numpy reads it so without a nan
-    (it reads a null as nan), else the JSON items as objects."""
+    (it reads a null as nan), else the JSON items as objects. A float field
+    of numbers only, or of lists of length 2 only, is read by `np.fromiter`
+    over its flat items, which is faster than `np.array` on nested lists."""
     if mode == FLOAT:
         try:
-            a = np.array(items, dtype=float)
+            kinds = set(map(type, items))
+            if kinds <= {int, float}:
+                a = np.fromiter(items, float, len(items))
+            elif kinds == {list} and set(map(len, items)) == {2}:
+                a = np.fromiter(chain.from_iterable(items), float, 2 * len(items))
+                a = a.reshape(-1, 2)
+            else:
+                a = np.array(items, dtype=float)
             if not np.isnan(a).any():
                 return a
         except (TypeError, ValueError, OverflowError):

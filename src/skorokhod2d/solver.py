@@ -13,18 +13,22 @@ inadmissible rates back to `_march`. The fixed-point solver iterates the
 one-dimensional regulator map coordinate-wise (Gauss-Seidel sweeps, optional
 damping; an overflow raises `DivergenceError`) and then inserts the step's
 event times as kinks into the grid, so the converged output is piecewise
-linear through the true solution's breakpoints. Near the fixed point the
-active sets freeze, the sweep is affine and its error shrinks by one rate
-per sweep, about |a1*a2| under a rotational matrix; once two successive
-rate estimates agree, the iteration jumps to the limit of that geometric
-series (Aitken's extrapolation). A jump after which the next sweep moves
-m more than the one before it is undone, and the round sweeps plainly on.
+linear through the true solution's breakpoints. The segments it examines do
+not depend on one another, so one batched march, `_march_rows`, takes their
+sub-steps together as array code, with the bits of `_march` row by row.
+Near the fixed point the active sets freeze, the sweep is affine and its
+error shrinks by one rate per sweep, about |a1*a2| under a rotational
+matrix; once two successive rate estimates agree, the iteration jumps to the
+limit of that geometric series (Aitken's extrapolation). A jump after which
+the next sweep moves m more than the one before it is undone, and the round
+sweeps plainly on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -183,7 +187,7 @@ def solve_fixed_point(
                 m, diff = before
             break
         kinks = _kink_times(grid, fx.T, m.T, a1, a2, eps)
-        enriched = _merge(grid, np.asarray(kinks, dtype=float))
+        enriched = _merge(grid, kinks)
         if len(enriched) == len(grid):
             break
         fx = with_times(f, enriched).x.T.copy()
@@ -198,19 +202,14 @@ def solve_fixed_point(
     return SolveResult(g_path, m_path, total_iters, converged, float(diff))
 
 
-def _kink_times(grid, f, m, a1, a2, eps) -> list:
+def _kink_times(grid, f, m, a1, a2, eps) -> np.ndarray:
     """Interior event times of `_march`, ascending, on each segment where a
-    positive coordinate of g starts with its regulator rising."""
+    positive coordinate of g starts with its regulator rising: one batched
+    march (`_march_rows`) over all of those segments."""
     g = f + np.column_stack([m[:, 0] + a1 * m[:, 1], a2 * m[:, 0] + m[:, 1]])
     k = np.nonzero(np.any((g[:-1] > eps) & (np.diff(m, axis=0) > 0), axis=1))[0]
     rates = _Rates(a1, a2, (f[k + 1] - f[k]) / (grid[k + 1] - grid[k])[:, None])
-    segments = zip(k.tolist(), grid[k].tolist(), grid[k + 1].tolist(),
-                   np.maximum(g[k], 0.0).tolist())
-    kinks = []
-    for i, (ki, ta, tb, (g1, g2)) in enumerate(segments):
-        steps = _march(rates, eps, g1, g2, ta, tb, i, ki)
-        kinks.extend(step[0] for step in steps[:-1])
-    return kinks
+    return _march_rows(rates, eps, np.maximum(g[k], 0.0), grid[k], grid[k + 1], k)
 
 
 # --- discrete complementarity stepping ---------------------------------------
@@ -280,7 +279,7 @@ def lcp_step(
 class _Rates(dict):
     """Active pattern -> (zw, ok): `_lcp2` on the driving slopes of every
     segment with the pattern's coordinates pushable, built on first use. Row
-    k of zw is (r1, r2, gr1, gr2), the rates of m and of g on segment k, and
+    k of zw is (gr1, gr2, r1, r2), the rates of g and of m on segment k, and
     ok[k] is False where no support is admissible."""
 
     def __init__(self, a1: float, a2: float, slopes: np.ndarray):
@@ -289,7 +288,7 @@ class _Rates(dict):
 
     def __missing__(self, active):
         z, w, ok = _lcp2(self.a1, self.a2, self.slopes[:, 0], self.slopes[:, 1], active)
-        table = self[active] = (np.hstack([z, w]), ok)
+        table = self[active] = (np.hstack([w, z]), ok)
         return table
 
 
@@ -331,7 +330,7 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
             hi = min(k + streak, len(ts) - 1)
             run = _run(rates[active], grid, eps, active, (g1, g2), (m1, m2), k, hi)
             if len(run):
-                blocks += [np.array(rows).reshape(-1, 5), run]
+                blocks += [_rows_array(rows), run]
                 rows = []
                 g1, g2, m1, m2 = run[-1, 1:].tolist()
                 k += len(run)
@@ -346,10 +345,16 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
         streak = streak + 1 if held else 0
         k += 1
 
-    out = np.concatenate(blocks + [np.array(rows).reshape(-1, 5)])
+    out = np.concatenate(blocks + [_rows_array(rows)])
     g_path = PLPath2(out[:, 0], out[:, 1:3], FLOAT)
     m_path = PLPath2(out[:, 0], out[:, 3:], FLOAT)
     return SolveResult(g_path, m_path, len(out) - 1, True, 0.0)
+
+
+def _rows_array(rows: list) -> np.ndarray:
+    """The (t, g1, g2, m1, m2) tuples as one (n, 5) array: `np.fromiter` over
+    the flat floats, which reads them about twice as fast as `np.array`."""
+    return np.fromiter(chain.from_iterable(rows), float, 5 * len(rows)).reshape(-1, 5)
 
 
 def _run(table, grid, eps, active, g, m, lo, hi) -> np.ndarray:
@@ -358,23 +363,30 @@ def _run(table, grid, eps, active, g, m, lo, hi) -> np.ndarray:
     would not take in one quiet sub-step under `active`: its active set
     differs, its rates are inadmissible, a slack coordinate reaches zero in
     it, or the clip at 0 applies. g and m are the `np.cumsum` of the
-    sub-steps' increments, which adds in order like `_march`'s chain.
+    sub-steps' increments, which adds in order like `_march`'s chain: one
+    product with the table's rows and one sum, in place in the array that
+    holds the rows, so a call costs a few array operations at any length.
     """
     zw, ok = table
-    dt = np.diff(grid[lo:hi + 1])[:, None]
-    w = zw[lo:hi, 2:]
-    gs = np.cumsum(np.vstack([g, dt * w]), axis=0)
-    falling = w < 0
-    reach = np.full_like(w, np.inf)
-    with np.errstate(over="ignore"):  # an overflow is a reach beyond the segment
-        np.divide(gs[:-1], -w, out=reach, where=falling & ~np.array(active))
-    quiet = (ok[lo:hi]
-             & np.all((np.abs(gs[:-1]) <= eps) == active, axis=1)
-             & np.all(reach >= dt, axis=1)
-             & ~np.any(falling & (gs[1:] < 0), axis=1))
-    q = int(np.argmin(quiet)) if not quiet.all() else hi - lo
-    ms = np.cumsum(np.vstack([m, dt[:q] * zw[lo:lo + q, :2]]), axis=0)
-    return np.column_stack([grid[lo + 1:lo + q + 1], gs[1:q + 1], ms[1:]])
+    n = hi - lo
+    rows = np.empty((n + 1, 5))
+    t, x = rows[:, 0], rows[:, 1:]
+    t[:] = grid[lo:hi + 1]
+    dt = t[1:] - t[:-1]
+    x[0] = (*g, *m)
+    np.multiply(zw[lo:hi], dt[:, None], out=x[1:])
+    np.add.accumulate(x, out=x)  # np.cumsum, in place
+    start, w = x[:-1, :2], zw[lo:hi, :2]
+    active = np.array(active)
+    with np.errstate(all="ignore"):  # the quotient counts only where g falls
+        short = ~((start / -w >= dt[:, None]) | active)  # reaches 0 within dt
+    short |= x[1:, :2] < 0  # the clip at 0
+    stop = (w < 0) & short
+    stop |= (np.abs(start) <= eps) != active
+    stop = stop[:, 0] | stop[:, 1] | ~ok[lo:hi]
+    q = int(np.argmax(stop))
+    # a run cut short keeps a copy, so no block holds the window's unused rows
+    return rows[1:q + 1].copy() if stop[q] else rows[1:]
 
 
 def _march(rates: _Rates, eps, g1, g2, ta, tb, i, k) -> list:
@@ -386,7 +398,8 @@ def _march(rates: _Rates, eps, g1, g2, ta, tb, i, k) -> list:
     `negligible` rule) are active and only they may push; the rates are the
     row of the table for that active set, and a sub-step ends at tb or at the
     first zero of a positive coordinate. `solve_grid` calls it on every
-    segment outside its runs, `_kink_times` on the segments it examines.
+    segment outside its runs; `_march_rows` takes the same sub-steps on many
+    segments at once, and tests pin the two to each other.
     """
     steps = []
     t = ta
@@ -397,7 +410,7 @@ def _march(rates: _Rates, eps, g1, g2, ta, tb, i, k) -> list:
         zw, ok = rates[active]
         if not ok[i]:
             raise StepInfeasibleError("no admissible rate support", k)
-        r1, r2, gr1, gr2 = zw[i].tolist()
+        gr1, gr2, r1, r2 = zw[i].tolist()
         tau = tb - t
         if not active[0] and gr1 < 0:
             tau = min(tau, g1 / -gr1)
@@ -408,3 +421,55 @@ def _march(rates: _Rates, eps, g1, g2, ta, tb, i, k) -> list:
         g2 = max(g2 + tau * gr2, 0.0) if gr2 < 0 else g2 + tau * gr2
         steps.append((t, g1, g2, tau * r1, tau * r2))
     return steps
+
+
+def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
+    """`_march` on independent segments at once: row i marches grid segment
+    k[i] = [ta[i], tb[i]] from g[i] >= 0, with its rates in row i of
+    `rates`. Returns the interior event times, by row and then in time.
+
+    Each pass takes one sub-step on every unfinished row with the float
+    operations of `_march` in the same order (`where(x < 0, 0.0, x)` is
+    `max(x, 0.0)`, signed zeros included), so the times are the scalar
+    step's bits. A row that fails raises as `_march` does; of several, the
+    lowest, which a loop over the rows in order would reach first.
+    """
+    rows, t = np.arange(len(k)), ta
+    times, owners = [np.empty(0)], [rows[:0]]
+    fail = (len(k), "")  # the lowest failing row so far, and its message
+    for step in range(1001):
+        live = (t < tb) & (rows < fail[0])
+        rows, t, tb, g = rows[live], t[live], tb[live], g[live]
+        if not len(rows):
+            break
+        if step == 1000:
+            fail = (int(rows[0]), "event cascade did not terminate")
+            break
+        active = np.abs(g) <= eps
+        pattern = active[:, 0] + 2 * active[:, 1]
+        zw = np.empty((len(rows), 4))
+        ok = np.empty(len(rows), dtype=bool)
+        for p in np.flatnonzero(np.bincount(pattern, minlength=4)).tolist():
+            sel = pattern == p
+            table, good = rates[(bool(p & 1), bool(p & 2))]
+            zw[sel], ok[sel] = table[rows[sel]], good[rows[sel]]
+        if not ok.all():  # the rows from the first inadmissible one stop
+            fail = (int(rows[np.argmin(ok)]), "no admissible rate support")
+            live = rows < fail[0]
+            rows, t, tb, g, active, zw = (a[live] for a in (rows, t, tb, g, active, zw))
+        gr = zw[:, :2]
+        tau = tb - t
+        reach = np.full_like(g, np.inf)
+        with np.errstate(over="ignore"):  # an overflow is a reach beyond the segment
+            np.divide(g, -gr, out=reach, where=~active & (gr < 0))
+        for j in (0, 1):
+            tau = np.where(reach[:, j] < tau, reach[:, j], tau)
+        t = np.where((tau == tb - t) | (tb < t + tau), tb, t + tau)
+        g = g + tau[:, None] * gr
+        g = np.where((gr < 0) & (g < 0), 0.0, g)
+        inner = t < tb
+        times.append(t[inner])
+        owners.append(rows[inner])
+    if fail[0] < len(k):
+        raise StepInfeasibleError(fail[1], int(k[fail[0]]))
+    return np.concatenate(times)[np.argsort(np.concatenate(owners), kind="stable")]

@@ -217,6 +217,18 @@ def test_non_finite_float_inputs_exit_2(tmp_path, capsys, bad, field):
     assert capsys.readouterr().out == ""
 
 
+def test_float_int_beyond_double_range_exits_2(tmp_path, capsys):
+    # a JSON integer that no double holds is a malformed float scalar
+    doc = serialize.path_to_json(serialize.path_from_json(json.loads(write_driving_path(tmp_path).read_text())))
+    doc["values"][3][1] = 10**400
+    fpath = tmp_path / "big.json"
+    fpath.write_text(json.dumps(doc))
+    assert run(["solve", "--matrix=-0.5,0.5", "--f", str(fpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed float scalar: 1000")
+    assert captured.out == ""
+
+
 def test_diverging_fixed_point_exits_2(tmp_path, capsys):
     # R = (-2, -2) is not completely-S: the sweeps overflow
     fpath = write_driving_path(tmp_path)

@@ -422,6 +422,13 @@ _ONE = {"m": "1", "e": 0}
     (EXACT, [[_ONE, {"m": "1"}], [_ONE, _ONE]], "malformed exact scalar: {'m': '1'}"),
     (EXACT, [[_ONE, {"m": "1", "x": 0}], [_ONE, _ONE]], "malformed exact scalar: {'m': '1', 'x': 0}"),
     (EXACT, [[_ONE, {"m": "x", "e": 0}], [_ONE, _ONE]], "malformed exact scalar: {'m': 'x', 'e': 0}"),
+    # entries that iterate into two numbers, which a flat read of the pairs would take
+    pytest.param(FLOAT, [[1, 2], "12"], "malformed 'values': each entry must be a pair",
+                 id="float-string-entry"),
+    pytest.param(FLOAT, [[1, 2], {"1": 0, "2": 0}], "malformed 'values': each entry must be a pair",
+                 id="float-dict-entry"),
+    pytest.param(FLOAT, [[1, 2**1024], [2, 3]], f"malformed float scalar: {2**1024!r}",
+                 id="float-int-beyond-double-range"),
 ])
 def test_path_from_json_names_malformed_values(mode, values, message):
     times = [0, 1] if mode == FLOAT else [{"m": "0", "e": 0}, _ONE]

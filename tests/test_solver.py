@@ -10,8 +10,10 @@ from skorokhod2d.paths import EXACT, FLOAT, FLOAT_DEDUP, PLPath2, sup_distance, 
 from skorokhod2d.solver import (
     RUN_GATE,
     SolveConfig,
+    _kink_times,
     _lcp2,
     _march,
+    _march_rows,
     _Rates,
     _run,
     lcp_step,
@@ -683,3 +685,95 @@ def test_run_stops_where_a_slack_coordinate_reaches_zero_by_rounding():
     active = (False, False)
     assert len(_run(rates[active], grid, 2.0**-40, active, (g1, 1.0), (0.0, 0.0), 0, 1)) == 0
     assert len(_march(rates, 2.0**-40, g1, 1.0, 0.0, dt, 0, 0)) == 2
+
+
+# --- the batched kink march against the per-row march -------------------------
+
+
+def march_row_by_row(rates, eps, g, ta, tb, k):
+    # the reference for `_march_rows`: `_march` on each row in turn
+    kinks = []
+    for i, (ki, a, b, (g1, g2)) in enumerate(zip(k.tolist(), ta.tolist(), tb.tolist(), g.tolist())):
+        kinks += [step[0] for step in _march(rates, eps, g1, g2, a, b, i, ki)[:-1]]
+    return np.array(kinks, dtype=float)
+
+
+def kink_times_row_by_row(grid, f, m, a1, a2, eps):
+    # the reference for `_kink_times`: its segments, marched one by one
+    g = f + np.column_stack([m[:, 0] + a1 * m[:, 1], a2 * m[:, 0] + m[:, 1]])
+    k = np.nonzero(np.any((g[:-1] > eps) & (np.diff(m, axis=0) > 0), axis=1))[0]
+    rates = _Rates(a1, a2, (f[k + 1] - f[k]) / (grid[k + 1] - grid[k])[:, None])
+    return march_row_by_row(rates, eps, np.maximum(g[k], 0.0), grid[k], grid[k + 1], k)
+
+
+def gaussian_walk(seed, n=2000):
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, n + 1)
+    vals = 0.25 + np.vstack([np.zeros((1, 2)), np.cumsum(rng.normal(size=(n, 2)), axis=0) / np.sqrt(n)])
+    a1, a2 = rng.uniform(-0.45, 0.45, size=2)
+    return ReflectionMatrix2(a1, a2), PLPath2(ts, vals, FLOAT)
+
+
+def kink_cases():
+    for a1, a2, damping in [(0.9, -0.9, 1.0), (0.99, -0.99, 1.0), (-1.0, 1.0, 0.5)]:
+        for seed in range(2):
+            yield pytest.param(ReflectionMatrix2(a1, a2), corner_walk(seed, n=2000), damping,
+                               id=f"corner-{a1}-{a2}-damping{damping}-seed{seed}")
+    for seed in range(2):
+        yield pytest.param(*gaussian_walk(seed), 1.0, id=f"gaussian-seed{seed}")
+
+
+@pytest.mark.parametrize("R, f, damping", kink_cases())
+def test_batched_kink_march_equals_the_march_row_by_row(R, f, damping, monkeypatch):
+    # every enrichment round's kink times, bit for bit and in the same order
+    rounds = []
+
+    def checked(*args):
+        kinks = _kink_times(*args)
+        assert kinks.tobytes() == kink_times_row_by_row(*args).tobytes()
+        rounds.append(len(kinks))
+        return kinks
+
+    monkeypatch.setattr(solver, "_kink_times", checked)
+    cfg = SolveConfig(tol=1e-12 * float(np.max(np.abs(f.x))), max_iter=100_000, damping=damping)
+    assert solve_fixed_point(R, f, cfg).converged
+    assert rounds[0] > 0
+
+
+def test_batched_kink_march_takes_several_sub_steps_per_row():
+    # rows that end with one, two and three sub-steps, in a mixed order, on
+    # rows of the table that are not their grid segments
+    eps = 2.0**-40
+    slopes = np.array([[-4.0, 1.0], [1.0, 1.0], [-4.0, -4.0], [-3.0, -5.0], [2.0, -8.0]])
+    g = np.array([[1.0, 2.0], [0.0, 0.5], [1.0, 2.0], [0.25, 0.0], [3.0, 1.0]])
+    ta = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    tb, k = ta + 1.0, np.array([3, 8, 9, 20, 21])
+    for a1, a2 in [(0.3, -0.4), (0.9, -0.9), (-0.5, -0.5)]:
+        rates = _Rates(a1, a2, slopes)
+        kinks = _march_rows(rates, eps, g, ta, tb, k)
+        assert kinks.tobytes() == march_row_by_row(rates, eps, g, ta, tb, k).tobytes()
+        assert len(kinks) >= 3
+    assert len(_march_rows(_Rates(0.3, -0.4, slopes[:0]), eps, g[:0], ta[:0], tb[:0], k[:0])) == 0
+
+
+@pytest.mark.parametrize("g, slopes, failing", [
+    # row 1 fails in its first sub-step, row 0 in its second: row 0 is named
+    ([(0.5, 0.0), (0.0, 0.0), (1.0, 1.0)], [(-1.0, -1.0), (-1.0, -1.0), (1.0, 1.0)], 0),
+    # only row 2 fails, after rows that march through
+    ([(1.0, 1.0), (0.5, 0.0), (0.0, 0.0)], [(1.0, 1.0), (-1.0, 2.0), (-1.0, -1.0)], 2),
+    # rows 0 and 2 fail in their second sub-step, row 1 in its first
+    ([(0.5, 0.0), (0.0, 0.0), (0.5, 0.0)], [(-1.0, -1.0)] * 3, 0),
+])
+def test_batched_kink_march_names_the_segment_the_row_loop_names(g, slopes, failing):
+    # R = (-1, -2) is not completely-S: with both coordinates at zero the
+    # slope (-1, -1) has no admissible support; g1 = 0.5 falling at rate 2
+    # reaches zero within the segment, so its row fails one sub-step later
+    g, slopes = np.array(g), np.array(slopes)
+    ta = np.arange(3.0)
+    tb, k = ta + 1.0, np.array([4, 7, 11])
+    with pytest.raises(StepInfeasibleError) as row_loop:
+        march_row_by_row(_Rates(-1.0, -2.0, slopes), 2.0**-40, g, ta, tb, k)
+    with pytest.raises(StepInfeasibleError) as batched:
+        _march_rows(_Rates(-1.0, -2.0, slopes), 2.0**-40, g, ta, tb, k)
+    assert str(batched.value) == str(row_loop.value) == "no admissible rate support"
+    assert batched.value.step_index == row_loop.value.step_index == k[failing]
