@@ -42,8 +42,6 @@ _PKG_ERRORS = (
     ExactnessError,
     StepInfeasibleError,
     OSError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
 )
 
 
@@ -72,6 +70,16 @@ def _parse_matrix(text: str, exact: bool) -> ReflectionMatrix2:
 def _parse_tol(text: str):
     fr = _fraction(text)
     return 0 if fr == 0 else float(fr)
+
+
+def _read_json(path: str):
+    """The JSON document in a file. Any ValueError while reading it (malformed
+    JSON, bad UTF-8, an integer past the interpreter's digit limit) is a
+    UsageError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise UsageError(f"{path}: not a readable JSON document ({exc})") from None
 
 
 def _emit(obj: dict) -> None:
@@ -105,7 +113,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve(args) -> int:
     R = _parse_matrix(args.matrix, exact=False)
-    f = serialize.path_from_json(json.loads(Path(args.f).read_text()))
+    f = serialize.path_from_json(_read_json(args.f))
     if args.grid_steps < 0:
         raise UsageError("--grid-steps must be >= 0")
     grid = None
@@ -163,7 +171,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    triple = serialize.triple_from_json(json.loads(Path(args.triple).read_text()))
+    triple = serialize.triple_from_json(_read_json(args.triple))
     if args.matrix:
         R = _parse_matrix(args.matrix, exact=triple.f.mode == "exact")
         triple = type(triple)(R, triple.f, triple.g, triple.m, triple.tail_bound)
@@ -174,8 +182,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    s1 = serialize.triple_from_json(json.loads(Path(args.s1).read_text()))
-    s2 = serialize.triple_from_json(json.loads(Path(args.s2).read_text()))
+    s1 = serialize.triple_from_json(_read_json(args.s1))
+    s2 = serialize.triple_from_json(_read_json(args.s2))
     diag = compare_solutions(s1, s2, args.tol)
     _emit(diag.to_json())
     _note(

@@ -6,13 +6,21 @@ JSON numbers. Exact path arrays go straight between these objects and their
 Python-int mantissas, and float ones through one numpy conversion (a
 well-formed float field through `np.fromiter` on its flat numbers). The round
 trip is bit-identical in exact mode. Decoding a malformed document raises
-UsageError naming the missing or malformed key or scalar, and so does an
-exact array too wide to hold (`MAX_EXACT_BITS`).
+UsageError naming the missing or malformed key or scalar.
+
+Exact values have one representable range, `_check_range`, which the encoder
+and the decoder both apply: a mantissa has at most the interpreter's
+int-string conversion digits (`sys.get_int_max_str_digits()`), and an array's
+length times the spread of its exponents is at most `MAX_EXACT_BITS`. So the
+encoder refuses, with the UsageError the decoder would raise, exactly what the
+decoder could not read back.
 """
 
 from __future__ import annotations
 
 import io
+import math
+import sys
 from itertools import chain, compress
 from operator import itemgetter
 from typing import Any
@@ -31,12 +39,43 @@ MAX_EXACT_BITS = 1 << 28
 of its nonzero scalars' exponents. The array holds its mantissas on its lowest
 exponent, so a document of a few scalars on far-apart exponents would
 otherwise decode into huge ints. A depth-1600 spiral bundle needs at most
-5.2e6 bits per array."""
+5.2e6 bits per array, and a spiral with a1 = -2 reaches the bound at depth
+16,384 (its times array: 16,385 scalars on exponents 0 to -16,384). Part of
+the range of `_check_range`, so the encoder refuses such an array too."""
+
+
+def _check_range(m: list, e: list) -> None:
+    """Refuse, with a UsageError naming the bound, exact values m[i] * 2^e[i]
+    outside the range that the encoder writes and the decoder reads back."""
+    _check_digits(_digits(max(m, key=abs, default=0)))
+    live = list(compress(e, m))  # the exponents of nonzero scalars
+    if live and len(m) * (max(live) - min(live)) > MAX_EXACT_BITS:
+        raise UsageError(f"exact array too wide: {len(m)} scalars with exponents from "
+                         f"{min(live)} to {max(live)} need over {MAX_EXACT_BITS} bits")
+
+
+def _check_digits(digits: int) -> None:
+    """Refuse a mantissa of more decimal digits than the interpreter converts
+    between int and str; the limit is read, never set."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise UsageError(f"exact mantissa of {digits} digits: over the interpreter's "
+                         f"limit of {limit} digits for int-string conversion")
+
+
+def _digits(x: int) -> int:
+    """Decimal digits of |x|, counted without converting x to a string."""
+    x = abs(x)
+    d = max(1, int((x.bit_length() - 1) * math.log10(2)))  # at most the count
+    while x >= 10**d:
+        d += 1
+    return d
 
 
 def scalar_to_json(x, mode: str) -> Any:
     if mode == EXACT:
         d = to_dyadic(x)
+        _check_range([d.mantissa], [d.exp2])
         return {"m": str(d.mantissa), "e": d.exp2}
     return float(x)
 
@@ -58,6 +97,9 @@ def scalar_from_json(obj: Any, mode: str):
     try:
         return Dyadic(int(obj["m"]), int(obj["e"])) if mode == EXACT else float(obj)
     except (TypeError, ValueError, OverflowError):  # an int beyond the double range
+        text = obj["m"].lstrip("-") if mode == EXACT and isinstance(obj["m"], str) else ""
+        if text.isdecimal():  # a mantissa too long to convert is named, not echoed
+            _check_digits(len(text))
         raise UsageError(f"malformed {mode} scalar: {obj!r}") from None
 
 
@@ -69,7 +111,9 @@ def _encode(a) -> list:
     """Nested lists of JSON scalars; float arrays are already JSON numbers."""
     if not isinstance(a, DyadicArray):
         return a.tolist()
-    flat = [{"m": str(m), "e": e} for m, e in zip(*a.to_parts())]
+    m, e = a.to_parts()
+    _check_range(m, e)
+    flat = [{"m": str(x), "e": k} for x, k in zip(m, e)]
     return flat if a.ndim == 1 else list(map(list, zip(*[iter(flat)] * a.shape[1])))
 
 
@@ -90,17 +134,14 @@ def _cells(items: list, mode: str) -> np.ndarray:
     of numbers only, or of lists of length 2 only, is read by `np.fromiter`
     over its flat items, which is faster than `np.array` on nested lists."""
     if mode == FLOAT:
+        kinds = set(map(type, items))
+        pairs = kinds == {list} and set(map(len, items)) == {2}
         try:
-            kinds = set(map(type, items))
-            if kinds <= {int, float}:
-                a = np.fromiter(items, float, len(items))
-            elif kinds == {list} and set(map(len, items)) == {2}:
-                a = np.fromiter(chain.from_iterable(items), float, 2 * len(items))
-                a = a.reshape(-1, 2)
-            else:
-                a = np.array(items, dtype=float)
-            if not np.isnan(a).any():
-                return a
+            if pairs or kinds <= {int, float}:
+                flat = chain.from_iterable(items) if pairs else items
+                a = np.fromiter(flat, float, (1 + pairs) * len(items))
+                if not np.isnan(a).any():
+                    return a.reshape(-1, 2) if pairs else a
         except (TypeError, ValueError, OverflowError):
             pass
     return np.array(items, dtype=object)
@@ -116,16 +157,14 @@ def _decode(cells: np.ndarray, mode: str):
         scalars = np.array([scalar_from_json(x, mode) for x in flat], dtype=object)
         return _array(scalars.reshape(cells.shape), mode)
     m, e = _exact_parts(flat)
-    live = list(compress(e, m))  # the exponents of nonzero scalars
-    if live and len(m) * (max(live) - min(live)) > MAX_EXACT_BITS:
-        raise UsageError(f"exact array too wide: {len(m)} scalars with exponents from "
-                         f"{min(live)} to {max(live)} need over {MAX_EXACT_BITS} bits")
+    _check_range(m, e)
     return DyadicArray.from_parts(m, e).reshape(cells.shape)
 
 
 def _exact_parts(flat: list) -> tuple[list, list]:
     """Mantissas and exponents of exact JSON scalars, read with `map`. Objects
-    that do not read so are decoded one by one, which names a malformed one."""
+    that do not read so are decoded one by one, which names a malformed one,
+    or a mantissa text of more digits than `int` converts."""
     try:
         if set(map(len, flat)) <= {2}:  # with an "m" and an "e", no other key
             return tuple(list(map(int, map(itemgetter(k), flat))) for k in "me")

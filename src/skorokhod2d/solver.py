@@ -431,21 +431,20 @@ def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
     Each pass takes one sub-step on every unfinished row with the float
     operations of `_march` in the same order (`where(x < 0, 0.0, x)` is
     `max(x, 0.0)`, signed zeros included), so the times are the scalar
-    step's bits. A row that fails raises as `_march` does; of several, the
-    lowest, which a loop over the rows in order would reach first.
+    step's bits. On the first inadmissible row, or at `_march`'s cap of 1000
+    sub-steps, the batch stops and `_march` takes the rows in order, so a
+    failure raises what a loop over the rows raises.
     """
-    rows, t = np.arange(len(k)), ta
+    rows, t, end, x = np.arange(len(k)), ta, tb, g
     times, owners = [np.empty(0)], [rows[:0]]
-    fail = (len(k), "")  # the lowest failing row so far, and its message
     for step in range(1001):
-        live = (t < tb) & (rows < fail[0])
-        rows, t, tb, g = rows[live], t[live], tb[live], g[live]
+        live = t < end
+        rows, t, end, x = rows[live], t[live], end[live], x[live]
         if not len(rows):
-            break
+            return np.concatenate(times)[np.argsort(np.concatenate(owners), kind="stable")]
         if step == 1000:
-            fail = (int(rows[0]), "event cascade did not terminate")
             break
-        active = np.abs(g) <= eps
+        active = np.abs(x) <= eps
         pattern = active[:, 0] + 2 * active[:, 1]
         zw = np.empty((len(rows), 4))
         ok = np.empty(len(rows), dtype=bool)
@@ -453,23 +452,20 @@ def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
             sel = pattern == p
             table, good = rates[(bool(p & 1), bool(p & 2))]
             zw[sel], ok[sel] = table[rows[sel]], good[rows[sel]]
-        if not ok.all():  # the rows from the first inadmissible one stop
-            fail = (int(rows[np.argmin(ok)]), "no admissible rate support")
-            live = rows < fail[0]
-            rows, t, tb, g, active, zw = (a[live] for a in (rows, t, tb, g, active, zw))
+        if not ok.all():
+            break
         gr = zw[:, :2]
-        tau = tb - t
-        reach = np.full_like(g, np.inf)
+        tau = end - t
+        reach = np.full_like(x, np.inf)
         with np.errstate(over="ignore"):  # an overflow is a reach beyond the segment
-            np.divide(g, -gr, out=reach, where=~active & (gr < 0))
+            np.divide(x, -gr, out=reach, where=~active & (gr < 0))
         for j in (0, 1):
             tau = np.where(reach[:, j] < tau, reach[:, j], tau)
-        t = np.where((tau == tb - t) | (tb < t + tau), tb, t + tau)
-        g = g + tau[:, None] * gr
-        g = np.where((gr < 0) & (g < 0), 0.0, g)
-        inner = t < tb
+        t = np.where((tau == end - t) | (end < t + tau), end, t + tau)
+        x = x + tau[:, None] * gr
+        x = np.where((gr < 0) & (x < 0), 0.0, x)
+        inner = t < end
         times.append(t[inner])
         owners.append(rows[inner])
-    if fail[0] < len(k):
-        raise StepInfeasibleError(fail[1], int(k[fail[0]]))
-    return np.concatenate(times)[np.argsort(np.concatenate(owners), kind="stable")]
+    steps = [_march(rates, eps, *g[i].tolist(), ta[i], tb[i], i, int(k[i])) for i in range(len(k))]
+    return np.array([s[0] for row in steps for s in row[:-1]], dtype=float)

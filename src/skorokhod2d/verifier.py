@@ -232,10 +232,12 @@ def check_e2_signs(s1: SolutionTriple, s2: SolutionTriple, tol=0.0) -> E2Report:
     for s in (s1, s2):
         if not _same_matrix(s.R, canonical):
             raise UsageError("check_e2_signs requires R = [[1, -1], [1, 1]]")
-    u = path_sub(s1.m, s2.m).x.astype(float)
+    u = path_sub(s1.m, s2.m).x
     mid = (u[:-1] + u[1:]) / 2
     du = np.diff(u, axis=0)
-    budget = float(tol) * (abs(du[:, 0]) + abs(du[:, 1]))
+    # in the triple's mode, so exact triples are checked exactly; an infinite
+    # tol stays infinite, as in `verify`
+    budget = tol if tol == math.inf else tol * (abs(du[:, 0]) + abs(du[:, 1]))
     p1 = (mid[:, 0] + mid[:, 1]) * du[:, 1]
     p2 = (mid[:, 0] - mid[:, 1]) * du[:, 0]
     bad = np.nonzero((p1 > budget) | (p2 > budget))[0]

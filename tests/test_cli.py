@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from skorokhod2d import serialize
+from skorokhod2d.classify import ReflectionMatrix2
 from skorokhod2d.cli import run
 from skorokhod2d.paths import FLOAT, PLPath2
+from skorokhod2d.verifier import SolutionTriple, verify
 
 
 def run_json(capsys, argv):
@@ -236,3 +238,65 @@ def test_diverging_fixed_point_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "diverged" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("content", [
+    # json reads an integer of more digits than the interpreter converts as a
+    # ValueError that is no JSONDecodeError
+    pytest.param(b'{"mode": "float", "times": [0, 1], "values": [[0, 0], [0, %s]]}' % (b"9" * 5000),
+                 id="integer-past-the-digit-limit"),
+    pytest.param(b"\xff\xfe{}", id="bad-utf-8"),
+    pytest.param(b'{"mode": ', id="malformed-json"),
+])
+def test_unreadable_json_exits_2_with_one_line(tmp_path, capsys, content):
+    (tmp_path / "doc.json").write_bytes(content)
+    path = str(tmp_path / "doc.json")
+    for argv in (["solve", "--matrix=-0.5,0.5", "--f", path],
+                 ["verify", "--triple", path],
+                 ["compare", "--s1", path, "--s2", path]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not a readable JSON document")
+        assert captured.err.count("\n") == 1 and len(captured.err) < 300
+
+
+@pytest.mark.parametrize("method", ["fixed", "grid"])
+def test_solve_on_a_coarser_grid_keeps_the_breakpoints_of_f(tmp_path, capsys, method):
+    fpath = write_driving_path(tmp_path)
+    code, doc = run_json(capsys, ["solve", "--matrix=-0.5,0.5", "--f", str(fpath),
+                                  "--method", method, "--grid-steps", "7", "--tol", "1e-11"])
+    assert code == 0 and doc["converged"] is True
+    f = serialize.path_from_json(json.loads(fpath.read_text()))
+    g, m = serialize.path_from_json(doc["g"]), serialize.path_from_json(doc["m"])
+    # f's 21 breakpoints and the grid's 6 interior ones
+    assert set(f.times) | set(np.linspace(0.0, 1.0, 8).tolist()) <= set(g.times)
+    triple = SolutionTriple(ReflectionMatrix2(-0.5, 0.5), f, g, m)
+    assert verify(triple, 1e-9).passed
+
+
+def test_counterexample_figure_is_the_figure_subcommands(tmp_path, capsys):
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    assert run(["counterexample", "--a1", "-2", "--depth", "8", "--figure", str(a)]) == 0
+    assert run(["figure", "--a1", "-2", "--depth", "8", "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_text() == b.read_text()
+
+
+def test_verify_matrix_overrides_the_documents(tmp_path, capsys):
+    out = tmp_path / "bundle.json"
+    assert run(["counterexample", "--a1", "-2", "--depth", "8", "--out", str(out)]) == 0
+    doc = serialize.triple_to_json(serialize.bundle_from_json(json.loads(out.read_text())).triple())
+    doc["matrix"] = {"a1": {"m": "-1", "e": 0}, "a2": {"m": "1", "e": 0}}  # a wrong matrix
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", "--triple", str(path)]) == 1
+    assert run(["verify", "--triple", str(path), "--matrix=-2,1"]) == 0
+    assert run(["verify", "--triple", str(path), "--matrix=-1/2,1"]) == 1
+
+
+def test_matrix_needs_two_entries(tmp_path, capsys):
+    fpath = write_driving_path(tmp_path)
+    assert run(["solve", "--matrix=1", "--f", str(fpath)]) == 2
+    assert "--matrix expects 'a1,a2'" in capsys.readouterr().err

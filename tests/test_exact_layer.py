@@ -8,6 +8,7 @@ beyond 2^63, so a wrong shift, a lost exponent or an int64 cast shows.
 
 import json
 import operator
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -436,3 +437,64 @@ def test_json_decode_refuses_an_array_too_wide_to_hold():
     p = serialize.path_from_json(wide)
     assert p.values[0] == (Dyadic(1, -(serialize.MAX_EXACT_BITS // 4)), Dyadic(1))
     assert p.values[1] == (0, 0)
+
+
+def _limit_or_skip() -> int:
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter converts ints to strings of any length")
+    return limit
+
+
+def _one_way_and_back(p: PLPath2, values: list) -> str:
+    # encode p, and decode the hand-written document of p (its values given as
+    # (mantissa text, exponent) pairs): both refuse it with one short
+    # message, or p comes back bit for bit
+    doc = {"mode": EXACT, "times": [{"m": "0", "e": 0}, {"m": "1", "e": 0}],
+           "values": [[{"m": m, "e": e} for m, e in v] for v in values]}
+    try:
+        encoded = serialize.path_to_json(p)
+    except UsageError as err:
+        with pytest.raises(UsageError) as back:
+            serialize.path_from_json(doc)
+        assert str(back.value) == str(err) and len(str(err)) < 200
+        return str(err)
+    assert encoded == doc
+    q = serialize.path_from_json(json.loads(json.dumps(encoded)))
+    assert q.times == p.times and q.values == p.values
+    return ""
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_json_range_of_mantissa_digits(sign):
+    # the interpreter's int-string limit bounds the encoder and the decoder
+    limit = _limit_or_skip()
+    # odd mantissas, so canonical; their texts are written out, as str()
+    # refuses the one past the limit
+    inside = (10**limit - 1, "9" * limit)
+    past = (10**limit + 1, "1" + "0" * (limit - 1) + "1")
+    for (m, text), refused in [(inside, False), (past, True)]:
+        p = PLPath2([0, 1], [(1, 1), (1, m if sign == "" else -m)], EXACT)
+        message = _one_way_and_back(p, [[("1", 0), ("1", 0)], [("1", 0), (sign + text, 0)]])
+        assert message == ("" if not refused else
+                           f"exact mantissa of {limit + 1} digits: over the interpreter's "
+                           f"limit of {limit} digits for int-string conversion")
+
+
+def test_json_range_of_exponent_spread():
+    # four values, one on exponent -s: length times spread is 4 s
+    s = serialize.MAX_EXACT_BITS // 4
+    for spread, refused in [(s, False), (s + 1, True)]:
+        p = PLPath2([0, 1], [(Dyadic(1, -spread), 1), (1, 1)], EXACT)
+        message = _one_way_and_back(p, [[("1", -spread), ("1", 0)], [("1", 0), ("1", 0)]])
+        assert message.startswith("exact array too wide: 4 scalars") == refused
+
+
+def test_json_range_of_a_scalar():
+    # matrix entries, tail bounds and rho are single scalars of the same range
+    limit = _limit_or_skip()
+    with pytest.raises(UsageError, match=f"exact mantissa of {limit + 1} digits"):
+        serialize.scalar_to_json(10**limit + 1, EXACT)
+    with pytest.raises(UsageError, match=f"exact mantissa of {limit + 1} digits"):
+        serialize.scalar_from_json({"m": "1" * (limit + 1), "e": 0}, EXACT)
+    assert serialize.scalar_from_json({"m": "-" + "1" * limit, "e": 0}, EXACT) == -(10**limit - 1) // 9

@@ -255,6 +255,22 @@ def test_e2_sign_check_on_canonical_pair():
     assert rep2.first_violation == 0
 
 
+def test_e2_sign_check_is_exact_on_exact_triples():
+    # u(0) = (1 + 2^-60, -1), u(1) = (1 + 2^-60, -1 + 2^-70): the product
+    # (u1 + u2) du2 = (2^-60 + 2^-71) 2^-70 > 0 violates E2, and a float cast
+    # of u rounds du2 to 0
+    R = ReflectionMatrix2(Dyadic(-1), Dyadic(1))
+    zero = exact_path([0, 1], [(0, 0), (0, 0)])
+    a = Dyadic(1) + Dyadic(1, -60)
+    u = exact_path([0, 1], [(a, -1), (a, Dyadic(-1) + Dyadic(1, -70))])
+    s1, s2 = SolutionTriple(R, zero, zero, u), SolutionTriple(R, zero, zero, zero)
+    rep = check_e2_signs(s1, s2, tol=0)
+    assert not rep.ok and rep.first_violation == 0
+    assert rep.worst_product == float((Dyadic(1, -60) + Dyadic(1, -71)) * Dyadic(1, -70))
+    # an infinite budget passes, as in verify
+    assert check_e2_signs(s1, s2, tol=float("inf")).ok
+
+
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_compare_sectors_on_the_boundary_rays(mode):
     # the difference path sits at the origin, then on the eight boundary
