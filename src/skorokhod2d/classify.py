@@ -121,17 +121,34 @@ def spectral_radius_abs_q(R: ReflectionMatrix2) -> RadiusResult:
     """sqrt(|a1*a2|), the spectral radius of |I - R|.
 
     Exact (Dyadic) when the radicand has an exact dyadic root; otherwise a
-    double with relative error well under 2^-50, flagged inexact.
+    double with relative error well under 2^-50, flagged inexact. A double
+    root past the largest double is an OverflowError.
     """
-    p = _product(R)
-    if isinstance(p, Fraction):
+    a1, a2 = _numbers(R.a1, R.a2)
+    if isinstance(a1, Fraction):
         try:
-            root = Dyadic.from_fraction(abs(p)).sqrt_exact()
+            root = Dyadic.from_fraction(abs(a1 * a2)).sqrt_exact()
         except ExactnessError:  # the radicand is not dyadic
             root = None
         if root is not None:
             return RadiusResult(root, True)
-    return RadiusResult(math.sqrt(abs(p)), False)
+    return RadiusResult(_root(a1, a2), False)
+
+
+def _root(a1, a2) -> float:
+    """sqrt(|a1*a2|) as a double, from the product scaled by an even power of
+    two into [1/4, 4), so that neither the product nor the root leaves the
+    double range on the way. Scaling by a power of four is exact, so where
+    the product is a normal double this is math.sqrt(abs(a1*a2)) bit for
+    bit: both round the product once and the root once."""
+    if isinstance(a1, Fraction):
+        p = abs(a1 * a2)
+        e = p.numerator.bit_length() - p.denominator.bit_length()
+        q = float(p / Fraction(2) ** e)
+    else:
+        (m1, e1), (m2, e2) = math.frexp(a1), math.frexp(a2)
+        q, e = abs(m1 * m2), e1 + e2
+    return math.ldexp(math.sqrt(q * 2 ** (e % 2)), e // 2)
 
 
 def _criticality(R: ReflectionMatrix2) -> tuple[int, bool]:
@@ -173,11 +190,15 @@ def classify(R: ReflectionMatrix2) -> Classification:
     """Full classification record, as reported by the CLI."""
     regime = classify_regime(R)
     _, caveat = _criticality(R)
-    rad = spectral_radius_abs_q(R)
+    try:
+        rad = spectral_radius_abs_q(R)
+        radius = float(rad.value)
+    except OverflowError:
+        raise UsageError("spectral radius sqrt(|a1*a2|) beyond the double range") from None
     return Classification(
         regime=regime,
         completely_s=is_completely_s(R),
-        radius=float(rad.value),
+        radius=radius,
         radius_exact=rad.exact,
         critical_caveat=caveat,
         uniqueness_note=UNIQUENESS_NOTES[regime],

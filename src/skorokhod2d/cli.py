@@ -52,10 +52,21 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"not a number: {text!r} ({exc})") from None
 
 
+def _bounded(text: str) -> Fraction:
+    """The number, exactly, refused when it is past the double range: it is
+    used or reported as a double."""
+    fr = _fraction(text)
+    try:
+        float(fr)
+    except OverflowError:
+        raise UsageError(f"number beyond the double range: {text!r}") from None
+    return fr
+
+
 def _parse_number(text: str, exact: bool):
     if exact:
         return Dyadic.from_fraction(_fraction(text))
-    return float(_fraction(text))
+    return float(_bounded(text))
 
 
 def _parse_matrix(text: str, exact: bool) -> ReflectionMatrix2:
@@ -68,14 +79,16 @@ def _parse_matrix(text: str, exact: bool) -> ReflectionMatrix2:
 
 
 def _parse_tol(text: str):
-    fr = _fraction(text)
+    fr = _bounded(text)
     return 0 if fr == 0 else float(fr)
 
 
+@serialize._gc_paused
 def _read_json(path: str):
-    """The JSON document in a file. Any ValueError while reading it (malformed
-    JSON, bad UTF-8, an integer past the interpreter's digit limit) is a
-    UsageError."""
+    """The JSON document in a file, read with the cyclic garbage collector
+    paused, as the encoders build one. Any ValueError while reading it
+    (malformed JSON, bad UTF-8, an integer past the interpreter's digit
+    limit) is a UsageError."""
     try:
         return json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -139,7 +152,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    bundle = build_counterexample(_fraction(args.a1), args.depth)
+    bundle = build_counterexample(_bounded(args.a1), args.depth)
     doc = {
         "a1": float(bundle.R.a1),
         "depth": bundle.depth,
@@ -194,7 +207,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    bundle = build_counterexample(_fraction(args.a1), args.depth)
+    bundle = build_counterexample(_bounded(args.a1), args.depth)
     svg = emit_figure(
         bundle, size=args.size, coord_range=args.range, min_time=args.min_time
     )

@@ -14,10 +14,22 @@ int-string conversion digits (`sys.get_int_max_str_digits()`), and an array's
 length times the spread of its exponents is at most `MAX_EXACT_BITS`. So the
 encoder refuses, with the UsageError the decoder would raise, exactly what the
 decoder could not read back.
+
+The builders of whole documents (`path_to_json`, `solution_to_json`,
+`triple_to_json`, `bundle_to_json`) run with Python's cyclic garbage
+collector paused (`_gc_paused`), and so does the CLI's `json.loads` of a
+document. A float document holds one small list per point pair, so building
+or reading a 10^5-point path allocates enough containers to trigger several
+full collections, each of which scans every live container, though lists of
+floats can never form a reference cycle. The collector comes back on (if it
+was on) when the builder returns or raises; nothing here collects, freezes
+or changes a threshold.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import io
 import math
 import sys
@@ -72,6 +84,22 @@ def _digits(x: int) -> int:
     return d
 
 
+def _gc_paused(build):
+    """`build` run with the cyclic garbage collector disabled, re-enabled
+    afterwards only if it was enabled before, so nested builders and a
+    caller's own `gc.disable()` keep their state."""
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 def scalar_to_json(x, mode: str) -> Any:
     if mode == EXACT:
         d = to_dyadic(x)
@@ -103,6 +131,7 @@ def scalar_from_json(obj: Any, mode: str):
         raise UsageError(f"malformed {mode} scalar: {obj!r}") from None
 
 
+@_gc_paused
 def path_to_json(p: PLPath2) -> dict:
     return {"mode": p.mode, "times": _encode(p.t), "values": _encode(p.x)}
 
@@ -193,6 +222,7 @@ def matrix_from_json(obj: dict, mode: str) -> ReflectionMatrix2:
     )
 
 
+@_gc_paused
 def triple_to_json(t: SolutionTriple) -> dict:
     mode = t.f.mode
     out = {
@@ -218,6 +248,7 @@ def triple_from_json(obj: dict) -> SolutionTriple:
     )
 
 
+@_gc_paused
 def solution_to_json(g: PLPath2, m: PLPath2, iterations: int, converged: bool, residual: float) -> dict:
     return {
         "g": path_to_json(g),
@@ -228,6 +259,7 @@ def solution_to_json(g: PLPath2, m: PLPath2, iterations: int, converged: bool, r
     }
 
 
+@_gc_paused
 def bundle_to_json(b: CounterexampleBundle) -> dict:
     mode = b.u.mode
     return {

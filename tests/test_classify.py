@@ -187,3 +187,40 @@ def test_radius_of_a_non_dyadic_radicand_is_a_flagged_float():
     rad = spectral_radius_abs_q(R(Fraction(1, 3), Fraction(1, 3)))
     assert not rad.exact
     assert rad.value == pytest.approx(1 / 3, rel=1e-15)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_finite, _finite)
+def test_radius_keeps_the_bits_of_the_product_root(a1, a2):
+    # where a1*a2 is a normal double the radius is math.sqrt of it, bit for
+    # bit; elsewhere it is within a few ulps of the root of the exact product
+    p = abs(a1 * a2)
+    r = spectral_radius_abs_q(R(a1, a2))
+    assert not r.exact
+    if 2.0**-1022 <= p <= 1.7976931348623157e308:
+        assert r.value == math.sqrt(p)
+    elif a1 and a2:
+        root = Fraction(r.value)
+        eps = root * Fraction(2) ** -50 + Fraction(2) ** -1074  # relative, or one subnormal step
+        assert (root - eps) ** 2 <= abs(Fraction(a1) * Fraction(a2)) <= (root + eps) ** 2
+    else:
+        assert r.value == 0
+
+
+@given(st.integers(1, 2**70), st.integers(1, 2**70), st.integers(-1300, 1300))
+def test_exact_radius_without_a_dyadic_root_is_the_nearest_scaled_root(n, d, k):
+    # an exact product far outside the double range still has its root
+    # taken; one past the largest double is refused by classify
+    a1, a2 = Fraction(n, d), Fraction(2) ** (2 * k)
+    root = math.sqrt(Fraction(n, d))
+    try:
+        want = math.ldexp(root, k)
+    except OverflowError:
+        with pytest.raises(UsageError, match="beyond the double range"):
+            classify(R(a1, a2))
+        return
+    r = spectral_radius_abs_q(R(a1, a2))
+    if not r.exact and math.ldexp(want, -k) == root:  # no rounding into the subnormals
+        assert r.value == want

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -300,3 +301,65 @@ def test_matrix_needs_two_entries(tmp_path, capsys):
     fpath = write_driving_path(tmp_path)
     assert run(["solve", "--matrix=1", "--f", str(fpath)]) == 2
     assert "--matrix expects 'a1,a2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--a1", "1e400", "--a2", "1"],
+    ["classify", "--a1", "1", "--a2=-1e400"],
+    ["counterexample", "--a1=-1e400"],
+    ["figure", "--a1=-1e400", "--out", "{tmp}/x.svg"],
+    ["solve", "--matrix=1e400,1", "--f", "{f}"],
+    ["solve", "--matrix=-0.5,-1e400", "--f", "{f}"],
+])
+def test_numbers_beyond_the_double_range_exit_2(tmp_path, capsys, argv):
+    f = write_driving_path(tmp_path)
+    argv = [a.format(tmp=tmp_path, f=f) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: number beyond the double range: '")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_tol_beyond_the_double_range_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "bundle.json"
+    assert run(["counterexample", "--a1", "-2", "--depth", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    files = ["--triple", str(out)] if command == "verify" else ["--s1", str(out), "--s2", str(out)]
+    for tol in ("1e400", "-1e400"):
+        with pytest.raises(SystemExit) as exit_:  # argparse reports a bad --tol
+            run([command, *files, f"--tol={tol}"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"skorokhod2d {command}: error: argument --tol: invalid _parse_tol value: '{tol}'"]
+
+
+@pytest.mark.parametrize("a,radius", [
+    ("1e308", 1e308),                        # a1*a2 overflows
+    ("1e-200", 1e-200),                      # a1*a2 underflows to 0
+    ("1.7976931348623157e308", 1.7976931348623157e308),
+    ("5e-324", 5e-324),
+])
+def test_classify_radius_beyond_the_product_range(capsys, a, radius):
+    code = run(["classify", "--a1", a, "--a2", a])
+    out = capsys.readouterr().out
+    assert code == 0 and "Infinity" not in out
+    doc = json.loads(out)
+    assert doc["radius"] == radius and doc["radius_exact"] is False
+
+
+def test_classify_exact_radius_beyond_the_double_range_exits_2(capsys):
+    big = str(2**1100)
+    assert run(["classify", "--exact", "--a1", big, "--a2", big]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spectral radius sqrt(|a1*a2|) beyond the double range\n"
+    # a radius inside the range is reported, though an entry or a1*a2 is past it
+    code, doc = run_json(capsys, ["classify", "--exact", "--a1", big, "--a2", f"1/{2**1000}"])
+    assert code == 0 and doc["radius"] == 2.0**50 and doc["radius_exact"] is True
+    code, doc = run_json(capsys, ["classify", "--exact", "--a1", "3", "--a2", big])
+    assert code == 0 and doc["radius"] == math.sqrt(3) * 2.0**550 and doc["radius_exact"] is False
