@@ -63,6 +63,11 @@ def _bounded(text: str) -> Fraction:
     return fr
 
 
+def _float_flag(text: str | None) -> float | None:
+    """A float flag's value, refused past the double range; None if unset."""
+    return None if text is None else float(_bounded(text))
+
+
 def _parse_number(text: str, exact: bool):
     if exact:
         return Dyadic.from_fraction(_fraction(text))
@@ -126,6 +131,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve(args) -> int:
     R = _parse_matrix(args.matrix, exact=False)
+    tol, damping = _float_flag(args.tol), _float_flag(args.damping)
     f = serialize.path_from_json(_read_json(args.f))
     if args.grid_steps < 0:
         raise UsageError("--grid-steps must be >= 0")
@@ -133,7 +139,7 @@ def _cmd_solve(args) -> int:
     if args.grid_steps:
         t0, t1 = float(f.start_time), float(f.end_time)
         grid = np.linspace(t0, t1, args.grid_steps + 1)
-    cfg = SolveConfig(tol=args.tol, max_iter=args.max_iter, grid=grid, damping=args.damping)
+    cfg = SolveConfig(tol=tol, max_iter=args.max_iter, grid=grid, damping=damping)
     if args.method == "fixed":
         res = solve_fixed_point(R, f, cfg)
     else:
@@ -152,6 +158,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    min_time = _float_flag(args.min_time)
     bundle = build_counterexample(_bounded(args.a1), args.depth)
     doc = {
         "a1": float(bundle.R.a1),
@@ -169,12 +176,13 @@ def _cmd_counterexample(args) -> int:
         doc["verify"] = r1.to_json()
         doc["verify_bar"] = r2.to_json()
         ok = r1.passed and r2.passed
+    files = {}  # made before any is written, so a refused one leaves no file
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(serialize.bundle_to_json(bundle), sort_keys=True)
-        )
+        files[args.out] = json.dumps(serialize.bundle_to_json(bundle), sort_keys=True)
     if args.figure:
-        Path(args.figure).write_text(emit_figure(bundle, min_time=args.min_time))
+        files[args.figure] = emit_figure(bundle, min_time=min_time)
+    for path, text in files.items():
+        Path(path).write_text(text)
     _emit(doc)
     _note(
         f"counterexample a1={doc['a1']}, depth={bundle.depth}: "
@@ -184,20 +192,22 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = _parse_tol(args.tol)
     triple = serialize.triple_from_json(_read_json(args.triple))
     if args.matrix:
         R = _parse_matrix(args.matrix, exact=triple.f.mode == "exact")
         triple = type(triple)(R, triple.f, triple.g, triple.m, triple.tail_bound)
-    report = verify(triple, args.tol, strict=args.strict)
+    report = verify(triple, tol, strict=args.strict)
     _emit(report.to_json())
-    _note(f"verification {'passed' if report.passed else 'FAILED'} at tol={args.tol}")
+    _note(f"verification {'passed' if report.passed else 'FAILED'} at tol={tol}")
     return 0 if report.passed else 1
 
 
 def _cmd_compare(args) -> int:
+    tol = _parse_tol(args.tol)
     s1 = serialize.triple_from_json(_read_json(args.s1))
     s2 = serialize.triple_from_json(_read_json(args.s2))
-    diag = compare_solutions(s1, s2, args.tol)
+    diag = compare_solutions(s1, s2, tol)
     _emit(diag.to_json())
     _note(
         f"max_v={float(diag.max_v):.6g}, "
@@ -207,10 +217,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    coord_range, min_time = _float_flag(args.range), _float_flag(args.min_time)
+    if coord_range is not None and not coord_range > 0:
+        raise UsageError("--range must be positive")
+    if args.size < 1:
+        raise UsageError("--size must be >= 1")
     bundle = build_counterexample(_bounded(args.a1), args.depth)
-    svg = emit_figure(
-        bundle, size=args.size, coord_range=args.range, min_time=args.min_time
-    )
+    svg = emit_figure(bundle, size=args.size, coord_range=coord_range, min_time=min_time)
     Path(args.out).write_text(svg)
     _emit({"out": args.out, "breakpoints": len(bundle.u)})
     _note(f"wrote {args.out}")
@@ -234,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--matrix", required=True, help="a1,a2")
     s.add_argument("--f", required=True, help="driving path JSON file")
     s.add_argument("--method", choices=("fixed", "grid"), default="fixed")
-    s.add_argument("--tol", type=float, default=1e-9)
+    s.add_argument("--tol", default="1e-9")
     s.add_argument("--max-iter", type=int, default=10000)
-    s.add_argument("--damping", type=float, default=1.0)
+    s.add_argument("--damping", default="1")
     s.add_argument("--grid-steps", type=int, default=0)
     s.add_argument("--out")
     s.set_defaults(handler=_cmd_solve)
@@ -247,20 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--verify", action="store_true")
     ce.add_argument("--out")
     ce.add_argument("--figure")
-    ce.add_argument("--min-time", type=float, default=None)
+    ce.add_argument("--min-time")
     ce.set_defaults(handler=_cmd_counterexample)
 
     v = sub.add_parser("verify", help="certify a candidate solution triple")
     v.add_argument("--triple", required=True)
     v.add_argument("--matrix")
-    v.add_argument("--tol", type=_parse_tol, default=0)
+    v.add_argument("--tol", default="0")
     v.add_argument("--strict", action="store_true")
     v.set_defaults(handler=_cmd_verify)
 
     cp = sub.add_parser("compare", help="uniqueness diagnostics for two solutions")
     cp.add_argument("--s1", required=True)
     cp.add_argument("--s2", required=True)
-    cp.add_argument("--tol", type=_parse_tol, default=0)
+    cp.add_argument("--tol", default="0")
     cp.set_defaults(handler=_cmd_compare)
 
     fg = sub.add_parser("figure", help="emit the spiral SVG figure")
@@ -268,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     fg.add_argument("--depth", type=int, default=28)
     fg.add_argument("--out", required=True)
     fg.add_argument("--size", type=int, default=640)
-    fg.add_argument("--range", type=float, default=None)
-    fg.add_argument("--min-time", type=float, default=None)
+    fg.add_argument("--range")
+    fg.add_argument("--min-time")
     fg.set_defaults(handler=_cmd_figure)
 
     return p

@@ -16,6 +16,7 @@ exactly (|a1| + 1, 0).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,22 @@ def _resolve_mode(a1, depth: int, mode: str):
         except (ExactnessError, TypeError):
             if mode == EXACT:
                 raise ExactnessError(f"a1={a1!r} does not admit exact construction")
-    return FLOAT, float(a1), 1.0 / abs(float(a1))
+    rho = 1.0 / abs(float(a1))
+    if not _fits_doubles(rho, depth):
+        deepest = 0
+        while _fits_doubles(rho, deepest + 4):  # ends by depth 1072, where 2^-1076 is 0
+            deepest += 4
+        raise ConstructionError(
+            f"float spiral with a1={float(a1)!r} does not fit in doubles at depth {depth}: "
+            + (f"the largest depth that works is {deepest}" if deepest else "no depth works"))
+    return FLOAT, float(a1), rho
+
+
+def _fits_doubles(rho: float, depth: int) -> bool:
+    """The float spiral's smallest time 2^-depth is not 0 and its smallest
+    vertex coordinate rho^(depth/2) is a normal double (a subnormal one has
+    too few bits to lie on a reference line)."""
+    return 0.5**depth > 0 and rho ** (depth // 2) >= sys.float_info.min
 
 
 def build_u(a1, depth: int, mode: str = "auto") -> PLPath2:

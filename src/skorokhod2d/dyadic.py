@@ -464,9 +464,5 @@ class DyadicArray(np.lib.mixins.NDArrayOperatorsMixin):
         flat = [Dyadic(v, self.e) for v in self.m.ravel().tolist()]
         return np.array(flat, dtype=object).reshape(self.shape).tolist()
 
-    def astype(self, dtype) -> np.ndarray:
-        """The values as an ndarray of dtype (float rounds each to nearest)."""
-        return np.array(self.tolist(), dtype=dtype)
-
     def __repr__(self) -> str:
         return f"DyadicArray({self.m!r}, {self.e})"

@@ -1,12 +1,18 @@
-"""JSON and CSV encodings for paths, triples and solver output.
+"""JSON encodings for paths, triples and solver output.
 
 Exact scalars serialize as {"m": "<decimal-integer-string>", "e": <int>}
 meaning m * 2^e, in the canonical form of `Dyadic`; float scalars are plain
-JSON numbers. Exact path arrays go straight between these objects and their
-Python-int mantissas, and float ones through one numpy conversion (a
-well-formed float field through `np.fromiter` on its flat numbers). The round
-trip is bit-identical in exact mode. Decoding a malformed document raises
-UsageError naming the missing or malformed key or scalar.
+JSON numbers. The round trip is bit-identical in exact mode.
+
+Decoding has one rule for a scalar, `scalar_from_json`: an exact scalar is a
+dict with exactly "m" and "e", each an int (not a bool) or a decimal string,
+so a float or bool part is refused, never truncated; a float scalar is
+whatever `float` reads except a dict. `path_from_json` checks that each entry
+of "values" is a list of two, the same way in both modes, and reads each
+field with `_scalars`: in bulk when every scalar is well formed (`np.fromiter`
+for floats; the "m" and "e" parts through `int` for exact ones), else scalar
+by scalar with the rule. A malformed document raises UsageError naming the
+missing or malformed key, or the first malformed scalar.
 
 Exact values have one representable range, `_check_range`, which the encoder
 and the decoder both apply: a mantissa has at most the interpreter's
@@ -30,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import io
 import math
 import sys
 from itertools import chain, compress
@@ -43,7 +48,7 @@ from .classify import ReflectionMatrix2
 from .counterexample import CounterexampleBundle
 from .dyadic import Dyadic, DyadicArray, to_dyadic
 from .errors import UsageError
-from .paths import EXACT, FLOAT, MonotoneDecomp, PLPath2, _array
+from .paths import EXACT, FLOAT, MonotoneDecomp, PLPath2
 from .verifier import SolutionTriple
 
 MAX_EXACT_BITS = 1 << 28
@@ -108,17 +113,23 @@ def scalar_to_json(x, mode: str) -> Any:
     return float(x)
 
 
-def _field(obj: Any, key: str, kind: type = object) -> Any:
+def _field(obj: Any, key: str, kind: type | None = None) -> Any:
+    """obj[key], of exactly the type `kind` if one is given (so a bool is not
+    an int)."""
     if not isinstance(obj, dict) or key not in obj:
         raise UsageError(f"missing key {key!r}")
-    if not isinstance(obj[key], kind):
+    if kind is not None and type(obj[key]) is not kind:
         raise UsageError(f"malformed {key!r}: {obj[key]!r}")
     return obj[key]
 
 
 def scalar_from_json(obj: Any, mode: str):
+    """The one rule for a JSON scalar. Exact: a dict with exactly "m" and "e",
+    each an int (not a bool) or a decimal string, read as a `Dyadic`. Float:
+    whatever `float` reads, except a dict. Else a UsageError names it."""
     if mode == EXACT:
-        if not isinstance(obj, dict) or set(obj) != {"m", "e"}:
+        if not (isinstance(obj, dict) and set(obj) == {"m", "e"}
+                and {type(obj["m"]), type(obj["e"])} <= {int, str}):
             raise UsageError(f"malformed exact scalar: {obj!r}")
     elif isinstance(obj, dict):
         raise UsageError("exact scalar found in a float-mode document")
@@ -150,66 +161,40 @@ def path_from_json(obj: dict) -> PLPath2:
     mode = _field(obj, "mode")
     if mode not in (EXACT, FLOAT):
         raise UsageError(f"unknown path mode: {mode!r}")
-    values = _cells(_field(obj, "values", list), mode)
-    if len(values) and values.shape[1:2] != (2,):
+    values = _field(obj, "values", list)
+    if set(map(type, values)) - {list} or set(map(len, values)) - {2}:
         raise UsageError("malformed 'values': each entry must be a pair")
-    times = _decode(_cells(_field(obj, "times", list), mode), mode)
-    return PLPath2(times, _decode(values, mode), mode)
+    times = _scalars(_field(obj, "times", list), mode)
+    return PLPath2(times, _scalars(list(chain.from_iterable(values)), mode).reshape(-1, 2), mode)
 
 
-def _cells(items: list, mode: str) -> np.ndarray:
-    """The field as one array: float64 when numpy reads it so without a nan
-    (it reads a null as nan), else the JSON items as objects. A float field
-    of numbers only, or of lists of length 2 only, is read by `np.fromiter`
-    over its flat items, which is faster than `np.array` on nested lists."""
+def _scalars(flat: list, mode: str):
+    """The JSON scalars of one field as an array: float64, or a DyadicArray
+    straight from the mantissas and exponents. Read in bulk where every scalar
+    is well formed (floats by `np.fromiter`, which reads a null as nan, so a
+    nan sends the field to the rule), else one by one with `scalar_from_json`,
+    which names the first malformed scalar."""
     if mode == FLOAT:
-        kinds = set(map(type, items))
-        pairs = kinds == {list} and set(map(len, items)) == {2}
         try:
-            if pairs or kinds <= {int, float}:
-                flat = chain.from_iterable(items) if pairs else items
-                a = np.fromiter(flat, float, (1 + pairs) * len(items))
-                if not np.isnan(a).any():
-                    return a.reshape(-1, 2) if pairs else a
+            a = np.fromiter(flat, float, len(flat))
+            if not np.isnan(a).any():
+                return a
         except (TypeError, ValueError, OverflowError):
             pass
-    return np.array(items, dtype=object)
-
-
-def _decode(cells: np.ndarray, mode: str):
-    """The scalars of `_cells`: float64, or a DyadicArray straight from the
-    exact objects' mantissas and exponents."""
-    if cells.dtype == float:
-        return cells
-    flat = cells.ravel().tolist()
-    if mode == FLOAT:
-        scalars = np.array([scalar_from_json(x, mode) for x in flat], dtype=object)
-        return _array(scalars.reshape(cells.shape), mode)
-    m, e = _exact_parts(flat)
-    _check_range(m, e)
-    return DyadicArray.from_parts(m, e).reshape(cells.shape)
-
-
-def _exact_parts(flat: list) -> tuple[list, list]:
-    """Mantissas and exponents of exact JSON scalars, read with `map`. Objects
-    that do not read so are decoded one by one, which names a malformed one,
-    or a mantissa text of more digits than `int` converts."""
+        return np.array([scalar_from_json(x, mode) for x in flat], dtype=float)
+    parts = None
     try:
-        if set(map(len, flat)) <= {2}:  # with an "m" and an "e", no other key
-            return tuple(list(map(int, map(itemgetter(k), flat))) for k in "me")
-    except (TypeError, ValueError, KeyError):
+        ms, es = (list(map(itemgetter(k), flat)) for k in "me")
+        kinds = set(map(type, ms)) | set(map(type, es))
+        if set(map(type, flat)) <= {dict} and set(map(len, flat)) <= {2} and kinds <= {int, str}:
+            parts = list(map(int, ms)), list(map(int, es))
+    except (TypeError, ValueError, KeyError):  # a malformed scalar, or a mantissa too long
         pass
-    ds = [scalar_from_json(x, EXACT) for x in flat]
-    return [d.mantissa for d in ds], [d.exp2 for d in ds]
-
-
-def path_to_csv(p: PLPath2) -> str:
-    """One row per breakpoint: t,x1,x2 (exact decimal strings in exact mode)."""
-    buf = io.StringIO()
-    buf.write("t,x1,x2\n")
-    for t, v in zip(p.t.tolist(), p.x.tolist()):
-        buf.write(",".join(map(str, (t, *v))) + "\n")  # str is repr for floats
-    return buf.getvalue()
+    if parts is None:
+        ds = [scalar_from_json(x, mode) for x in flat]
+        parts = [d.mantissa for d in ds], [d.exp2 for d in ds]
+    _check_range(*parts)
+    return DyadicArray.from_parts(*parts)
 
 
 def matrix_to_json(R: ReflectionMatrix2, mode: str) -> dict:

@@ -180,6 +180,10 @@ def test_malformed_inputs_exit_2(tmp_path):
     assert run(["figure", "--a1", "1/0", "--out", svg]) == 2
     assert run(["figure", "--depth", "8", "--range", "0", "--out", svg]) == 2
     assert run(["figure", "--depth", "8", "--min-time", "2", "--out", svg]) == 2
+    bundle = str(tmp_path / "b.json")
+    assert run(["counterexample", "--depth", "8", "--out", bundle, "--figure", svg,
+                "--min-time", "2"]) == 2
+    assert not list(tmp_path.iterdir())
     fpath = write_driving_path(tmp_path)
     assert run(["solve", "--matrix=-0.5,0.5", "--f", str(fpath), "--grid-steps", "-3"]) == 2
 
@@ -310,6 +314,11 @@ def test_matrix_needs_two_entries(tmp_path, capsys):
     ["figure", "--a1=-1e400", "--out", "{tmp}/x.svg"],
     ["solve", "--matrix=1e400,1", "--f", "{f}"],
     ["solve", "--matrix=-0.5,-1e400", "--f", "{f}"],
+    ["solve", "--matrix=-0.5,0.5", "--f", "{f}", "--tol", "1e400", "--out", "{tmp}/x.svg"],
+    ["solve", "--matrix=-0.5,0.5", "--f", "{f}", "--damping=-1e400", "--out", "{tmp}/x.svg"],
+    ["counterexample", "--min-time", "1e400", "--figure", "{tmp}/x.svg"],
+    ["figure", "--min-time", "1e400", "--out", "{tmp}/x.svg"],
+    ["figure", "--range", "1e400", "--out", "{tmp}/x.svg"],
 ])
 def test_numbers_beyond_the_double_range_exit_2(tmp_path, capsys, argv):
     f = write_driving_path(tmp_path)
@@ -329,13 +338,49 @@ def test_tol_beyond_the_double_range_exits_2(tmp_path, capsys, command):
     capsys.readouterr()
     files = ["--triple", str(out)] if command == "verify" else ["--s1", str(out), "--s2", str(out)]
     for tol in ("1e400", "-1e400"):
-        with pytest.raises(SystemExit) as exit_:  # argparse reports a bad --tol
-            run([command, *files, f"--tol={tol}"])
-        assert exit_.value.code == 2
+        assert run([command, *files, f"--tol={tol}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert [line for line in captured.err.splitlines() if "error:" in line] == [
-            f"skorokhod2d {command}: error: argument --tol: invalid _parse_tol value: '{tol}'"]
+        assert captured.err == f"error: number beyond the double range: '{tol}'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--triple", "{f}", "--tol", "spam"], "not a number: 'spam'"),
+    (["compare", "--s1", "{f}", "--s2", "{f}", "--tol", "spam"], "not a number: 'spam'"),
+    (["solve", "--matrix=-0.5,0.5", "--f", "{f}", "--damping", "spam", "--out", "{tmp}/x.svg"],
+     "not a number: 'spam'"),
+    (["figure", "--range", "inf", "--out", "{tmp}/x.svg"], "not a number: 'inf'"),
+    (["figure", "--range=-1", "--out", "{tmp}/x.svg"], "--range must be positive"),
+    (["figure", "--size", "0", "--out", "{tmp}/x.svg"], "--size must be >= 1"),
+])
+def test_bad_float_flags_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    f = write_driving_path(tmp_path)
+    assert run([a.format(tmp=tmp_path, f=f) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("path, index, part, bad", [
+    ("g", "times", "e", 0.5),      # the last time, 1 = {"m": "1", "e": 0}
+    ("m", "values", "m", 15.25),   # m1 at the sixth time, {"m": "15", "e": -4}
+])
+def test_verify_refuses_a_bundle_with_a_non_integer_part(tmp_path, capsys, path, index, part, bad):
+    # int() of the bad part is the good one, so truncating it would certify
+    out = tmp_path / "bundle.json"
+    assert run(["counterexample", "--depth", "8", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    scalar = doc[path][index][-1] if index == "times" else doc[path][index][5][0]
+    assert int(scalar[part]) == int(bad)
+    scalar[part] = bad
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", "--triple", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed exact scalar: {scalar!r}\n"
 
 
 @pytest.mark.parametrize("a,radius", [

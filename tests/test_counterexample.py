@@ -136,3 +136,25 @@ def test_float_spiral_certifies_at_depth(a1, depth):
     assert check_identities(b)
     assert verify(b.triple(), tol=2.0**-40).passed
     assert verify(b.triple_bar(), tol=2.0**-40).passed
+
+
+@pytest.mark.parametrize("a1, depth, deepest", [
+    (-1.5, 1076, 1072),  # the smallest time 2^-1076 is 0
+    (-1e10, 64, 60),     # the smallest vertex 1e-320 is subnormal
+    (-1e100, 40, 4),
+])
+def test_float_spiral_outside_the_doubles_is_refused(a1, depth, deepest):
+    with pytest.raises(ConstructionError) as err:
+        build_counterexample(a1, depth)
+    assert str(err.value) == (f"float spiral with a1={a1!r} does not fit in doubles at depth "
+                              f"{depth}: the largest depth that works is {deepest}")
+    b = build_counterexample(a1, deepest)
+    assert b.u.mode == FLOAT and check_identities(b)
+    assert verify(b.triple(), tol=2.0**-40).passed
+    assert verify(b.triple_bar(), tol=2.0**-40).passed
+
+
+def test_float_spiral_that_fits_at_no_depth_is_refused():
+    with pytest.raises(ConstructionError, match="a1=-1e\\+300 does not fit in doubles at depth 4: "
+                                                "no depth works"):
+        build_counterexample(-1e300, 4)

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skorokhod2d import serialize
-from skorokhod2d.counterexample import build_u
-from skorokhod2d.dyadic import Dyadic
+from skorokhod2d.counterexample import build_counterexample, build_u
+from skorokhod2d.dyadic import Dyadic, DyadicArray
 from skorokhod2d.errors import DomainError, UsageError
 from skorokhod2d.paths import (
     EXACT,
@@ -207,15 +208,6 @@ def test_json_round_trip_exact_bit_identical():
     again = serialize.path_from_json(json.loads(json.dumps(doc)))
     assert again.times == u.times and again.values == u.values
     assert serialize.path_to_json(again) == doc
-
-
-def test_csv_export():
-    u = build_u(Dyadic(-2), 4)
-    csv = serialize.path_to_csv(u)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "t,x1,x2"
-    assert len(lines) == len(u.times) + 1
-    assert lines[-1] == "1,-1,1"
 
 
 small_dyadics = st.builds(
@@ -429,6 +421,14 @@ _ONE = {"m": "1", "e": 0}
                  id="float-dict-entry"),
     pytest.param(FLOAT, [[1, 2**1024], [2, 3]], f"malformed float scalar: {2**1024!r}",
                  id="float-int-beyond-double-range"),
+    # exact parts are ints or decimal strings: a float or a bool is refused, not truncated
+    (EXACT, [[_ONE, {"m": 1.5, "e": 0}], [_ONE, _ONE]], "malformed exact scalar: {'m': 1.5, 'e': 0}"),
+    (EXACT, [[_ONE, {"m": "1", "e": 0.5}], [_ONE, _ONE]],
+     "malformed exact scalar: {'m': '1', 'e': 0.5}"),
+    (EXACT, [[_ONE, {"m": True, "e": 0}], [_ONE, _ONE]],
+     "malformed exact scalar: {'m': True, 'e': 0}"),
+    (EXACT, [[_ONE, {"m": "1", "e": -1.9}], [_ONE, _ONE]],
+     "malformed exact scalar: {'m': '1', 'e': -1.9}"),
 ])
 def test_path_from_json_names_malformed_values(mode, values, message):
     times = [0, 1] if mode == FLOAT else [{"m": "0", "e": 0}, _ONE]
@@ -443,3 +443,57 @@ def test_path_from_json_reads_non_canonical_exact_scalars():
     p = serialize.path_from_json(doc)
     assert p.times == (Dyadic(0), Dyadic(1))
     assert p.values == ((Dyadic(-3, 4), Dyadic(0)), (Dyadic(1), Dyadic(3, -1600)))
+
+
+def _one_by_one(flat: list, mode: str):
+    """A field read scalar by scalar with the one rule: its array, or the
+    message of the first malformed scalar."""
+    try:
+        xs = [serialize.scalar_from_json(x, mode) for x in flat]
+    except UsageError as err:
+        return str(err)
+    return np.array(xs, dtype=float) if mode == FLOAT else DyadicArray.of(xs)
+
+
+_LONG = "1" * 5000  # past the interpreter's default limit of 4,300 digits
+_float_scalars = st.one_of(
+    st.floats(), st.integers(), st.floats().map(repr), st.integers().map(str), st.booleans(),
+    st.none(), st.just(2**1024), st.just({"m": "1", "e": 0}), st.lists(st.integers(), max_size=2),
+    st.text(max_size=2),
+)
+_parts = st.one_of(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70).map(str), st.floats(),
+                   st.booleans(), st.just(_LONG))
+_exponents = st.one_of(st.integers(-64, 64), st.integers(-64, 64).map(str), st.floats(), st.booleans())
+_exact_scalars = st.one_of(
+    st.fixed_dictionaries({"m": st.integers(-2**70, 2**70).map(str), "e": st.integers(-64, 64)}),
+    st.fixed_dictionaries({"m": _parts, "e": _exponents}),
+    st.fixed_dictionaries({"m": _parts, "e": _exponents, "x": st.integers()}),
+    st.fixed_dictionaries({"m": _parts}),
+    st.fixed_dictionaries({"e": _exponents}),
+    st.integers(), st.text(max_size=2), st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.just(FLOAT), st.lists(_float_scalars, max_size=6)),
+                 st.tuples(st.just(EXACT), st.lists(_exact_scalars, max_size=6))))
+def test_field_read_in_bulk_is_the_one_rule(case):
+    mode, flat = case
+    want = _one_by_one(flat, mode)
+    try:
+        got = serialize._scalars(flat, mode)
+    except UsageError as err:
+        assert str(err) == want
+        return
+    assert not isinstance(want, str), want
+    if mode == FLOAT:
+        assert got.dtype == float and got.tobytes() == want.tobytes()
+    else:
+        assert got.to_parts() == want.to_parts()
+
+
+def test_bundle_from_json_refuses_a_bool_depth():
+    doc = json.loads(json.dumps(serialize.bundle_to_json(build_counterexample(Dyadic(-2), 8))))
+    doc["depth"] = True
+    with pytest.raises(UsageError, match="malformed 'depth': True"):
+        serialize.bundle_from_json(doc)
