@@ -3,6 +3,11 @@
 Machine-readable JSON goes to stdout, human summaries to stderr. Exit codes:
 0 success (and pass=true where a verdict applies), 1 verification failure,
 2 usage or input errors.
+
+Each JSON document is encoded once, by `json.dumps(doc, sort_keys=True)`:
+`_emit` prints every stdout document, and `solve --out` writes the same
+text without the final newline. `counterexample --out` writes the bundle,
+which is a different document from the one printed.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .errors import (
     UsageError,
 )
 from .figure import emit_figure
-from .paths import FLOAT_DEDUP
 from .solver import SolveConfig, solve_fixed_point, solve_grid
 from .verifier import compare_solutions, verify
 
@@ -100,8 +104,13 @@ def _read_json(path: str):
         raise UsageError(f"{path}: not a readable JSON document ({exc})") from None
 
 
-def _emit(obj: dict) -> None:
-    json.dump(obj, sys.stdout, sort_keys=True)
+def _emit(doc: dict, out: str | None = None) -> None:
+    """Encode the document once, write the text to out if given, then print
+    it. The newline is a second write: appending it would copy the text."""
+    text = json.dumps(doc, sort_keys=True)
+    if out:
+        Path(out).write_text(text)
+    sys.stdout.write(text)
     sys.stdout.write("\n")
 
 
@@ -147,9 +156,7 @@ def _cmd_solve(args) -> int:
     doc = serialize.solution_to_json(
         res.g, res.m, res.iterations, res.converged, res.residual
     )
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True))
-    _emit(doc)
+    _emit(doc, args.out)
     _note(
         f"{args.method} solver: {res.iterations} iterations, "
         f"converged={res.converged}, residual={res.residual:.3g}"
@@ -170,9 +177,8 @@ def _cmd_counterexample(args) -> int:
     }
     ok = True
     if args.verify:
-        tol = 0 if bundle.u.mode == "exact" else FLOAT_DEDUP
-        r1 = verify(bundle.triple(), tol)
-        r2 = verify(bundle.triple_bar(), tol)
+        r1 = verify(bundle.triple(), bundle.tol)
+        r2 = verify(bundle.triple_bar(), bundle.tol)
         doc["verify"] = r1.to_json()
         doc["verify_bar"] = r2.to_json()
         ok = r1.passed and r2.passed

@@ -58,6 +58,12 @@ class CounterexampleBundle:
     tail_bound: Scalar
     rho: Scalar  # contraction ratio 1/|a1| of the spiral
 
+    @property
+    def tol(self) -> Scalar:
+        """The bundle's certification tolerance: 0 for an exact bundle,
+        FLOAT_DEDUP for a float one."""
+        return 0 if self.u.mode == EXACT else FLOAT_DEDUP
+
     def triple(self) -> SolutionTriple:
         return SolutionTriple(self.R, self.f, self.g, self.decomp.m, self.tail_bound)
 
@@ -183,10 +189,9 @@ def check_identities(bundle: CounterexampleBundle) -> bool:
     rm = matrix_apply(bundle.R.a1, bundle.R.a2, bundle.decomp.m)
     rmbar = matrix_apply(bundle.R.a1, bundle.R.a2, bundle.decomp.mbar)
     low = path_min(rm, rmbar)
-    tol = 0 if bundle.u.mode == EXACT else FLOAT_DEDUP
     return (
-        sup_distance(bundle.g, path_sub(rm, low)) <= tol
-        and sup_distance(bundle.gbar, path_sub(rmbar, low)) <= tol
+        sup_distance(bundle.g, path_sub(rm, low)) <= bundle.tol
+        and sup_distance(bundle.gbar, path_sub(rmbar, low)) <= bundle.tol
     )
 
 

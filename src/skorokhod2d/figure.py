@@ -7,6 +7,8 @@ breakpoints marked. Output is byte-stable for fixed inputs and options.
 
 from __future__ import annotations
 
+import math
+
 from .counterexample import CounterexampleBundle
 from .errors import UsageError
 
@@ -21,13 +23,21 @@ def emit_figure(
     coord_range: float | None = None,
     min_time: float | None = None,
 ) -> str:
-    """SVG document for the spiral; min_time restricts to breakpoints t >= min_time."""
+    """SVG document for the spiral; min_time restricts to breakpoints t >= min_time.
+
+    A size below 1, or a coord_range that is not finite and positive, is a
+    UsageError, as is a min_time after every breakpoint.
+    """
+    if not size >= 1:
+        raise UsageError(f"figure size must be >= 1, not {size!r}")
+    if coord_range is not None and not 0 < coord_range < math.inf:
+        raise UsageError(f"figure range must be finite and positive, not {coord_range!r}")
     pts = [
         (float(v[0]), float(v[1]))
         for t, v in zip(bundle.u.times, bundle.u.values)
         if min_time is None or float(t) >= min_time
     ]
-    if not pts or (coord_range is not None and not coord_range > 0):
+    if not pts:
         raise UsageError("figure needs a breakpoint at or after min_time and range > 0")
     a1 = float(bundle.R.a1)
     if coord_range is None:

@@ -59,16 +59,25 @@ def test_solve_fixed_and_grid(tmp_path, capsys):
         assert doc["g"]["mode"] == "float"
 
 
-def test_solve_writes_out_file(tmp_path, capsys):
+def test_solve_writes_out_file(tmp_path, capsys, monkeypatch):
     fpath = write_driving_path(tmp_path)
     out = tmp_path / "sol.json"
-    code, _ = run_json(
-        capsys,
-        ["solve", "--matrix=-0.5,0.5", "--f", str(fpath), "--out", str(out)],
-    )
+    encoded = []  # every document json encodes, through dumps or dump
+    iterencode = json.JSONEncoder.iterencode
+
+    def counting(self, o, *args, **kwargs):
+        encoded.append(o)
+        return iterencode(self, o, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting)
+    code = run(["solve", "--matrix=-0.5,0.5", "--f", str(fpath), "--out", str(out)])
+    monkeypatch.undo()
     assert code == 0
-    saved = json.loads(out.read_text())
+    text = out.read_text()
+    saved = json.loads(text)
     assert {"g", "m", "iterations", "converged", "residual"} <= set(saved)
+    assert capsys.readouterr().out == text + "\n"
+    assert encoded == [saved]
 
 
 def test_solve_missing_file_is_usage_error():

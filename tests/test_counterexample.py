@@ -8,7 +8,8 @@ from skorokhod2d.counterexample import (
     solution_gap,
 )
 from skorokhod2d.dyadic import Dyadic
-from skorokhod2d.errors import ConstructionError, ExactnessError
+from skorokhod2d.errors import ConstructionError, ExactnessError, UsageError
+from skorokhod2d.figure import emit_figure
 from skorokhod2d.paths import EXACT, FLOAT, matrix_apply, path_min, stieltjes
 from skorokhod2d.verifier import verify
 
@@ -58,6 +59,8 @@ def test_mode_resolution():
     assert build_u(-1.5, 8, mode="float").mode == FLOAT
     with pytest.raises(ExactnessError):
         build_u(-1.5, 8, mode="exact")
+    with pytest.raises(UsageError, match="unknown mode 'spam'"):
+        build_counterexample(Dyadic(-2), 8, mode="spam")
 
 
 def test_bundle_regime_and_gap():
@@ -158,3 +161,15 @@ def test_float_spiral_that_fits_at_no_depth_is_refused():
     with pytest.raises(ConstructionError, match="a1=-1e\\+300 does not fit in doubles at depth 4: "
                                                 "no depth works"):
         build_counterexample(-1e300, 4)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"coord_range": float("inf")}, "figure range must be finite and positive"),
+    ({"size": 0}, "figure size must be >= 1"),
+    ({"size": -4}, "figure size must be >= 1"),
+], ids=["range-inf", "size-0", "size-negative"])
+def test_emit_figure_refuses_what_it_cannot_draw(options, message):
+    # the CLI refuses these flags itself; a library caller got nan or a
+    # width of 0 or -4
+    with pytest.raises(UsageError, match=message):
+        emit_figure(build_counterexample(Dyadic(-2), 8), **options)

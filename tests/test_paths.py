@@ -81,6 +81,8 @@ def test_refine_idempotent_and_mode_checks():
     r = exact_path([0, 2], [(0, 0), (1, 1)])
     with pytest.raises(UsageError):
         refine(p, r)
+    with pytest.raises(UsageError, match="unknown mode 'spam'"):
+        PLPath2((0, 1), ((0, 0), (1, 1)), mode="spam")
 
 
 def test_refine_preserves_counterexample_pair():

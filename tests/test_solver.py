@@ -187,6 +187,12 @@ def test_input_validation():
         SolveConfig(tol=0)
     with pytest.raises(UsageError):
         SolveConfig(damping=0)
+    with pytest.raises(UsageError, match="max_iter must be >= 1"):
+        SolveConfig(max_iter=0)
+    f_pos = float_path([0, 1], [(1, 1), (2, 2)])
+    for init in ((np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(1))):
+        with pytest.raises(UsageError, match="init arrays must match the grid length"):
+            solve_fixed_point(IDENTITY, f_pos, SolveConfig(), init=init)
     for grid in ([1.0, 0.5], [0.0], [0.0, float("nan"), 1.0], [0.0, 0.5, float("inf")]):
         with pytest.raises(UsageError, match="grid must be strictly increasing"):
             SolveConfig(grid=grid)

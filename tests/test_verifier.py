@@ -198,6 +198,9 @@ def test_compare_rejects_mismatched_inputs():
     other = build_counterexample(Dyadic(-4), depth=8)
     with pytest.raises(UsageError):
         compare_solutions(b.triple(), other.triple(), tol=0)
+    moved = replace(b.triple_bar(), f=scale_components(b.f, 2, 2))
+    with pytest.raises(UsageError, match="different driving functions"):
+        compare_solutions(b.triple(), moved, tol=0)
     # matrix entries are unitless: they match exactly, or within CRITICAL_BAND
     # when one is a float, whatever the tol for values
     zero = PLPath2((0.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), FLOAT)
