@@ -21,9 +21,12 @@ a quotient is not dyadic.
 
 Every float tolerance is FLOAT_DEDUP times a magnitude of the same units
 from the inputs; no absolute floor (`negligible`), so no result depends on the
-unit of time or space. Every grid decision goes through `merge_times`: each
-time of the base grid is kept, and another time joins unless it is the same
-breakpoint as a kept time, their difference negligible against max(|s|, |t|).
+unit of time or space. Every grid that an operation builds goes through
+`merge_times`: each time of the base grid is kept, and another time joins
+unless it is the same breakpoint as a kept time, their difference negligible
+against max(|s|, |t|). The readers that check or measure paths put them on
+the union of their grids with only equal times merged (`refine`), so no
+breakpoint of an input goes unread.
 """
 
 from __future__ import annotations
@@ -244,12 +247,20 @@ def _regrid(path: PLPath2, s) -> PLPath2:
 
 
 def refine(*paths: PLPath2) -> tuple[PLPath2, ...]:
-    """Put paths sharing mode, start and end on the `merge_times` union of
-    their grids; every breakpoint of the first path is kept."""
+    """Put paths sharing mode, start and end on the union of their grids,
+    with only equal times merged, so every breakpoint of every path is read.
+    For readers that check or measure paths; builders of new grids use
+    `_merge` and its breakpoint rule."""
     first = paths[0]
     for q in paths[1:]:
         _require_compatible(first, q)
-    grid = _merge(first.t, *(q.t for q in paths[1:]))
+    ts = [p.t for p in paths]
+    if first.mode == EXACT:  # the breakpoint rule is exact equality
+        grid = _merge(*ts)
+    elif all(_same(ts[0], t) for t in ts[1:]):
+        grid = ts[0]
+    else:
+        grid = np.unique(np.concatenate(ts))
     return tuple(_regrid(p, grid) for p in paths)
 
 

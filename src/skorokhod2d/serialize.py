@@ -14,6 +14,17 @@ for floats; the "m" and "e" parts through `int` for exact ones), else scalar
 by scalar with the rule. A malformed document raises UsageError naming the
 missing or malformed key, or the first malformed scalar.
 
+A document's paths that share a time grid have it encoded and decoded once.
+The builders encode each distinct time array once per document and put that
+one list into every path on the array, so `json.dumps` writes the same bytes
+as for separate copies (and the paths' "times" of a built document are one
+list object). The readers decode a path's "times" once and hand the decoded
+grid to a later path of the same mode whose list is the same object or, in
+exact mode only, compares equal and passes the bulk reader's type gate
+(`_same_times`), so it would decode to the same values. Every path still goes
+through `PLPath2`'s checks, and a decoded exact bundle's six paths share one
+time array, as a built one's do.
+
 Exact values have one representable range, `_check_range`, which the encoder
 and the decoder both apply: a mantissa has at most the interpreter's
 int-string conversion digits (`sys.get_int_max_str_digits()`), and an array's
@@ -144,7 +155,20 @@ def scalar_from_json(obj: Any, mode: str):
 
 @_gc_paused
 def path_to_json(p: PLPath2) -> dict:
-    return {"mode": p.mode, "times": _encode(p.t), "values": _encode(p.x)}
+    [doc] = _paths_to_json(p)
+    return doc
+
+
+def _paths_to_json(*paths: PLPath2) -> list:
+    """The documents of paths, each distinct time array encoded once: the
+    paths on one array get one list object."""
+    grids = {}  # id of a time array -> its list; the paths keep each array alive
+    docs = []
+    for p in paths:
+        if id(p.t) not in grids:
+            grids[id(p.t)] = _encode(p.t)
+        docs.append({"mode": p.mode, "times": grids[id(p.t)], "values": _encode(p.x)})
+    return docs
 
 
 def _encode(a) -> list:
@@ -158,14 +182,53 @@ def _encode(a) -> list:
 
 
 def path_from_json(obj: dict) -> PLPath2:
-    mode = _field(obj, "mode")
-    if mode not in (EXACT, FLOAT):
-        raise UsageError(f"unknown path mode: {mode!r}")
-    values = _field(obj, "values", list)
-    if set(map(type, values)) - {list} or set(map(len, values)) - {2}:
-        raise UsageError("malformed 'values': each entry must be a pair")
-    times = _scalars(_field(obj, "times", list), mode)
-    return PLPath2(times, _scalars(list(chain.from_iterable(values)), mode).reshape(-1, 2), mode)
+    [p] = _paths_from_json(obj)
+    return p
+
+
+def _paths_from_json(*objs) -> list:
+    """The paths of documents, each path's "times" decoded only when no earlier
+    path of the same mode has one that `_same_times` matches."""
+    grids = []  # (mode, "times" list, its decoded grid) of each grid decoded
+    paths = []
+    for obj in objs:
+        mode = _field(obj, "mode")
+        if mode not in (EXACT, FLOAT):
+            raise UsageError(f"unknown path mode: {mode!r}")
+        values = _field(obj, "values", list)
+        if set(map(type, values)) - {list} or set(map(len, values)) - {2}:
+            raise UsageError("malformed 'values': each entry must be a pair")
+        times = _field(obj, "times", list)
+        t = next((grid for m, seen, grid in grids if m == mode and _same_times(seen, times, mode)), None)
+        if t is None:
+            t = _scalars(times, mode)
+            if mode == EXACT:
+                t = t.frozen()  # read-only, so every path keeps this one array
+            grids.append((mode, times, t))
+        x = _scalars(list(chain.from_iterable(values)), mode).reshape(-1, 2)
+        paths.append(PLPath2(t, x, mode))
+    return paths
+
+
+def _same_times(seen: list, times: list, mode: str) -> bool:
+    """Whether `times` decodes in `mode` to the grid that `seen` decoded to:
+    the same list object, or in exact mode an equal list of the bulk reader's
+    types, so no bool or float part that `==` makes equal to an int."""
+    return seen is times or mode == EXACT and seen == times and _exact_parts(times) is not None
+
+
+def _exact_parts(flat: list):
+    """The "m" and "e" parts of exact scalars as two lists, when every scalar
+    is a dict of exactly those two parts, each an int (not a bool) or a str:
+    the type gate of reading exact scalars in bulk. Else None."""
+    try:
+        ms, es = (list(map(itemgetter(k), flat)) for k in "me")
+    except (TypeError, KeyError):
+        return None
+    if (set(map(type, flat)) <= {dict} and set(map(len, flat)) <= {2}
+            and set(map(type, ms)) | set(map(type, es)) <= {int, str}):
+        return ms, es
+    return None
 
 
 def _scalars(flat: list, mode: str):
@@ -182,14 +245,12 @@ def _scalars(flat: list, mode: str):
         except (TypeError, ValueError, OverflowError):
             pass
         return np.array([scalar_from_json(x, mode) for x in flat], dtype=float)
-    parts = None
-    try:
-        ms, es = (list(map(itemgetter(k), flat)) for k in "me")
-        kinds = set(map(type, ms)) | set(map(type, es))
-        if set(map(type, flat)) <= {dict} and set(map(len, flat)) <= {2} and kinds <= {int, str}:
-            parts = list(map(int, ms)), list(map(int, es))
-    except (TypeError, ValueError, KeyError):  # a malformed scalar, or a mantissa too long
-        pass
+    raw, parts = _exact_parts(flat), None
+    if raw is not None:
+        try:
+            parts = [list(map(int, r)) for r in raw]
+        except ValueError:  # a malformed part, or a mantissa too long
+            pass
     if parts is None:
         ds = [scalar_from_json(x, mode) for x in flat]
         parts = [d.mantissa for d in ds], [d.exp2 for d in ds]
@@ -210,38 +271,32 @@ def matrix_from_json(obj: dict, mode: str) -> ReflectionMatrix2:
 @_gc_paused
 def triple_to_json(t: SolutionTriple) -> dict:
     mode = t.f.mode
-    out = {
-        "matrix": matrix_to_json(t.R, mode),
-        "f": path_to_json(t.f),
-        "g": path_to_json(t.g),
-        "m": path_to_json(t.m),
-    }
+    f, g, m = _paths_to_json(t.f, t.g, t.m)
+    out = {"matrix": matrix_to_json(t.R, mode), "f": f, "g": g, "m": m}
     if t.tail_bound is not None:
         out["tail_bound"] = scalar_to_json(t.tail_bound, mode)
     return out
 
 
 def triple_from_json(obj: dict) -> SolutionTriple:
-    f = path_from_json(_field(obj, "f"))
+    f, g, m = _paths_from_json(*(_field(obj, k) for k in ("f", "g", "m")))
     tail = obj.get("tail_bound")
     return SolutionTriple(
         R=matrix_from_json(_field(obj, "matrix"), f.mode),
         f=f,
-        g=path_from_json(_field(obj, "g")),
-        m=path_from_json(_field(obj, "m")),
+        g=g,
+        m=m,
         tail_bound=None if tail is None else scalar_from_json(tail, f.mode),
     )
 
 
 @_gc_paused
 def solution_to_json(g: PLPath2, m: PLPath2, iterations: int, converged: bool, residual: float) -> dict:
-    return {
-        "g": path_to_json(g),
-        "m": path_to_json(m),
-        "iterations": iterations,
-        "converged": converged,
-        "residual": residual,
-    }
+    g, m = _paths_to_json(g, m)
+    return {"g": g, "m": m, "iterations": iterations, "converged": converged, "residual": residual}
+
+
+_BUNDLE_PATHS = ("u", "m", "mbar", "f", "g", "gbar")
 
 
 @_gc_paused
@@ -250,29 +305,22 @@ def bundle_to_json(b: CounterexampleBundle) -> dict:
     return {
         "matrix": matrix_to_json(b.R, mode),
         "depth": b.depth,
-        "u": path_to_json(b.u),
-        "m": path_to_json(b.decomp.m),
-        "mbar": path_to_json(b.decomp.mbar),
-        "f": path_to_json(b.f),
-        "g": path_to_json(b.g),
-        "gbar": path_to_json(b.gbar),
+        **dict(zip(_BUNDLE_PATHS, _paths_to_json(b.u, b.decomp.m, b.decomp.mbar, b.f, b.g, b.gbar))),
         "tail_bound": scalar_to_json(b.tail_bound, mode),
         "rho": scalar_to_json(b.rho, mode),
     }
 
 
 def bundle_from_json(obj: dict) -> CounterexampleBundle:
-    u = path_from_json(_field(obj, "u"))
+    u, m, mbar, f, g, gbar = _paths_from_json(*(_field(obj, k) for k in _BUNDLE_PATHS))
     mode = u.mode
     return CounterexampleBundle(
         R=matrix_from_json(_field(obj, "matrix"), mode),
         u=u,
-        decomp=MonotoneDecomp(
-            path_from_json(_field(obj, "m")), path_from_json(_field(obj, "mbar"))
-        ),
-        f=path_from_json(_field(obj, "f")),
-        g=path_from_json(_field(obj, "g")),
-        gbar=path_from_json(_field(obj, "gbar")),
+        decomp=MonotoneDecomp(m, mbar),
+        f=f,
+        g=g,
+        gbar=gbar,
         depth=_field(obj, "depth", int),
         tail_bound=scalar_from_json(_field(obj, "tail_bound"), mode),
         rho=scalar_from_json(_field(obj, "rho"), mode),

@@ -20,6 +20,7 @@ import numpy as np
 from .classify import ReflectionMatrix2, _same_matrix
 from .errors import UsageError
 from .paths import (
+    FLOAT,
     PLPath2,
     Scalar,
     _py,
@@ -83,7 +84,7 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
 
     tol = 0 is meaningful in exact mode: every comparison is then exact.
     The paths are checked on the union of their grids, which keeps every
-    breakpoint of f; paths whose time domains differ are refused.
+    breakpoint of every path; paths whose time domains differ are refused.
     """
     _check_tol(tol)
     f, g, m = refine(triple.f, triple.g, triple.m)
@@ -177,9 +178,15 @@ class UniquenessDiagnostics:
     max_v: Scalar
 
     def to_json(self) -> dict:
+        u = self.u
+        if u.mode == FLOAT:
+            times, points = u.t.tolist(), u.x.tolist()
+        else:
+            times = [float(t) for t in u.times]
+            points = [[float(x[0]), float(x[1])] for x in u.values]
         return {
-            "times": [float(t) for t in self.u.times],
-            "u": [[float(x[0]), float(x[1])] for x in self.u.values],
+            "times": times,
+            "u": points,
             "v": [float(x) for x in self.v],
             "sectors": [s.value for s in self.sector_sequence],
             "v_monotone_on_support": self.v_monotone_on_support,

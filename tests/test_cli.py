@@ -124,6 +124,17 @@ def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
     assert code == 1 and doc["pass"] is False
 
 
+def test_verify_exits_1_on_a_dip_next_to_another_breakpoint(tmp_path, capsys):
+    # g dips to -10^6 at a breakpoint 2^-45 after f's and m's 0.5
+    f = PLPath2((0.0, 0.5, 1.0), ((1.0, 1.0),) * 3, FLOAT)
+    m = PLPath2((0.0, 0.5, 1.0), ((0.0, 0.0),) * 3, FLOAT)
+    g = PLPath2((0.0, 0.5, 0.5 + 2.0**-45, 1.0), ((1.0, 1.0), (1.0, 1.0), (-1e6, 1.0), (1.0, 1.0)), FLOAT)
+    path = tmp_path / "dip.json"
+    path.write_text(json.dumps(serialize.triple_to_json(SolutionTriple(ReflectionMatrix2(-0.5, 0.5), f, g, m))))
+    code, doc = run_json(capsys, ["verify", "--triple", str(path), "--tol", "1e-9"])
+    assert code == 1 and doc["pass"] is False and doc["min_g"] == -1e6
+
+
 def test_compare_counterexample_solutions(tmp_path, capsys):
     out = tmp_path / "bundle.json"
     assert run(["counterexample", "--a1", "-2", "--depth", "8", "--out", str(out)]) == 0

@@ -365,7 +365,10 @@ def test_refine_is_variadic_and_keeps_first_grid():
     r = PLPath2((0.0, 0.25, 1.0), ((0.0, 0.0),) * 3, FLOAT)
     out = refine(p, q, r)
     assert len(out) == 3
-    assert all(x.times == (0.0, 0.25, 0.5, 1.0) for x in out)
+    # every breakpoint of every path is read: q's 0.5 - 5e-14 is kept, not
+    # merged into p's 0.5, and p takes its interpolated value there
+    assert all(x.times == (0.0, 0.25, 0.5 - 5e-14, 0.5, 1.0) for x in out)
+    assert out[0].values[2] == (1.0 - 1e-13, 0.0)
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
@@ -499,3 +502,9 @@ def test_bundle_from_json_refuses_a_bool_depth():
     doc["depth"] = True
     with pytest.raises(UsageError, match="malformed 'depth': True"):
         serialize.bundle_from_json(doc)
+
+
+def test_sup_distance_is_symmetric_with_a_breakpoint_next_to_another():
+    p = PLPath2((0.0, 0.5, 1.0), ((0.0, 0.0),) * 3, FLOAT)
+    q = PLPath2((0.0, 0.5, 0.5 + 2.0**-45, 1.0), ((0.0, 0.0), (0.0, 0.0), (5e5, 0.0), (0.0, 0.0)), FLOAT)
+    assert sup_distance(p, q) == sup_distance(q, p) == 5e5

@@ -312,3 +312,74 @@ def test_compare_sectors_match_the_scalar_rule(mode):
     R = ReflectionMatrix2(0, 0)
     diag = compare_solutions(SolutionTriple(R, zero, zero, u), SolutionTriple(R, zero, zero, zero), tol=0)
     assert diag.sector_sequence == tuple(scalar_sector(*p) for p in u.values)
+
+
+def dip_triple():
+    # f and m constant; g has one more breakpoint 2^-45 after f's and m's 0.5,
+    # where it dips far below zero
+    f = PLPath2((0.0, 0.5, 1.0), ((1.0, 1.0),) * 3, FLOAT)
+    m = PLPath2((0.0, 0.5, 1.0), ((0.0, 0.0),) * 3, FLOAT)
+    g = PLPath2((0.0, 0.5, 0.5 + 2.0**-45, 1.0), ((1.0, 1.0), (1.0, 1.0), (-1e6, 1.0), (1.0, 1.0)), FLOAT)
+    return SolutionTriple(ReflectionMatrix2(-0.5, 0.5), f, g, m)
+
+
+def test_verify_reads_a_breakpoint_next_to_another():
+    rep = verify(dip_triple(), tol=1e-9)
+    assert not rep.passed
+    assert rep.min_g == -1e6
+    assert rep.eq_residual == 1e6 + 1
+
+
+def _pointwise_reference(triple, tol) -> bool:
+    """verify's pointwise conditions checked by brute force: every path
+    evaluated by `eval` at every breakpoint of every path."""
+    times = sorted(set(triple.f.times) | set(triple.g.times) | set(triple.m.times))
+    a1, a2 = triple.R.a1, triple.R.a2
+    prev = triple.m.eval(times[0])
+    if max(map(abs, prev)) > tol:
+        return False
+    for t in times:
+        f, g, m = (p.eval(t) for p in (triple.f, triple.g, triple.m))
+        rm = (m[0] + a1 * m[1], a2 * m[0] + m[1])
+        if max(abs(g[j] - f[j] - rm[j]) for j in (0, 1)) > tol or min(g) < -tol:
+            return False
+        if min(m[j] - prev[j] for j in (0, 1)) < -tol:
+            return False
+        prev = m
+    return True
+
+
+@st.composite
+def _spiked_triples(draw):
+    """A complementary triple on one grid (m rises in a component only where
+    g is zero in it at both ends), then breakpoints of arbitrary value put
+    into its paths, mostly within 2^-40 relative of a grid time."""
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+    t = np.array(sorted({0.0, 1.0, *inner}))
+    n = len(t)
+    zero = np.array(draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=n, max_size=n)))
+    g = np.where(zero, 0.0, draw(st.lists(st.tuples(*[st.floats(0.1, 2)] * 2), min_size=n, max_size=n)))
+    rises = draw(st.lists(st.tuples(*[st.floats(0, 2)] * 2), min_size=n - 1, max_size=n - 1))
+    dm = np.where(zero[:-1] & zero[1:], np.reshape(rises, (-1, 2)), 0.0)
+    m = np.concatenate([[[0.0, 0.0]], np.cumsum(dm, axis=0)])
+    a1, a2 = draw(st.sampled_from([-0.5, 0.0, 0.5])), draw(st.sampled_from([-0.5, 0.0, 0.5]))
+    f = g - np.column_stack([m[:, 0] + a1 * m[:, 1], a2 * m[:, 0] + m[:, 1]])
+    paths = {"f": [t, f], "g": [t, g], "m": [t, m]}
+    for name in draw(st.lists(st.sampled_from("fgm"), max_size=3)):
+        ts, xs = paths[name]
+        k = draw(st.integers(0, n - 1))
+        rel = draw(st.one_of(st.floats(-2.0**-41, 2.0**-41), st.floats(-0.5, 0.5)))
+        s = t[k] + rel * t[k]
+        value = draw(st.tuples(*[st.floats(-3, 3)] * 2))
+        if 0 < s < 1 and s not in ts:
+            i = int(np.searchsorted(ts, s))
+            paths[name] = [np.insert(ts, i, s), np.insert(xs, i, value, axis=0)]
+    R = ReflectionMatrix2(a1, a2)
+    return SolutionTriple(R, *(PLPath2(*paths[k], FLOAT) for k in "fgm"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spiked_triples())
+def test_verify_pass_holds_at_every_breakpoint_of_every_path(triple):
+    if verify(triple, tol=1e-9).passed:
+        assert _pointwise_reference(triple, 1e-9)
