@@ -259,8 +259,9 @@ def refine(*paths: PLPath2) -> tuple[PLPath2, ...]:
         grid = _merge(*ts)
     elif all(_same(ts[0], t) for t in ts[1:]):
         grid = ts[0]
-    else:
-        grid = np.unique(np.concatenate(ts))
+    else:  # np.unique's first call would import numpy.ma, some 20 ms
+        grid = np.sort(np.concatenate(ts))
+        grid = grid[np.append(True, grid[1:] != grid[:-1])]
     return tuple(_regrid(p, grid) for p in paths)
 
 

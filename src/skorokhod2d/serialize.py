@@ -17,13 +17,16 @@ missing or malformed key, or the first malformed scalar.
 A document's paths that share a time grid have it encoded and decoded once.
 The builders encode each distinct time array once per document and put that
 one list into every path on the array, so `json.dumps` writes the same bytes
-as for separate copies (and the paths' "times" of a built document are one
-list object). The readers decode a path's "times" once and hand the decoded
-grid to a later path of the same mode whose list is the same object or, in
-exact mode only, compares equal and passes the bulk reader's type gate
-(`_same_times`), so it would decode to the same values. Every path still goes
-through `PLPath2`'s checks, and a decoded exact bundle's six paths share one
-time array, as a built one's do.
+as for separate copies. The paths of a built document thus share their
+"times" list, down to its scalar dicts: edit a copy, not the list in place,
+or every path on that grid changes. The readers decode an exact path's
+"times" once and hand the decoded grid to a later exact path whose list
+compares equal and passes the bulk reader's type gate, so it would decode to
+the same values; this holds for a document parsed from a file as much as for
+one a builder returned. Float paths each decode their own grid, since a float
+`PLPath2` copies its grid anyway. Every path still goes through `PLPath2`'s
+checks, and a decoded exact bundle's six paths share one time array, as a
+built one's do.
 
 Exact values have one representable range, `_check_range`, which the encoder
 and the decoder both apply: a mantissa has at most the interpreter's
@@ -187,9 +190,12 @@ def path_from_json(obj: dict) -> PLPath2:
 
 
 def _paths_from_json(*objs) -> list:
-    """The paths of documents, each path's "times" decoded only when no earlier
-    path of the same mode has one that `_same_times` matches."""
-    grids = []  # (mode, "times" list, its decoded grid) of each grid decoded
+    """The paths of documents. An exact path's "times" is decoded only when no
+    earlier exact path's list is equal to it (`==`, which also matches the same
+    list object) and of the bulk reader's types, so no bool or float part that
+    `==` makes equal to an int; the later path gets that path's grid. A float
+    path always decodes its own, since `PLPath2` copies a float grid anyway."""
+    grids = []  # ("times" list, its decoded grid) of each exact grid decoded
     paths = []
     for obj in objs:
         mode = _field(obj, "mode")
@@ -199,22 +205,16 @@ def _paths_from_json(*objs) -> list:
         if set(map(type, values)) - {list} or set(map(len, values)) - {2}:
             raise UsageError("malformed 'values': each entry must be a pair")
         times = _field(obj, "times", list)
-        t = next((grid for m, seen, grid in grids if m == mode and _same_times(seen, times, mode)), None)
-        if t is None:
+        if mode == FLOAT:
             t = _scalars(times, mode)
-            if mode == EXACT:
-                t = t.frozen()  # read-only, so every path keeps this one array
-            grids.append((mode, times, t))
+        else:
+            t = next((grid for seen, grid in grids if seen == times), None)
+            if t is None or _exact_parts(times) is None:
+                t = _scalars(times, mode).frozen()  # read-only: every path keeps this array
+                grids.append((times, t))
         x = _scalars(list(chain.from_iterable(values)), mode).reshape(-1, 2)
         paths.append(PLPath2(t, x, mode))
     return paths
-
-
-def _same_times(seen: list, times: list, mode: str) -> bool:
-    """Whether `times` decodes in `mode` to the grid that `seen` decoded to:
-    the same list object, or in exact mode an equal list of the bulk reader's
-    types, so no bool or float part that `==` makes equal to an int."""
-    return seen is times or mode == EXACT and seen == times and _exact_parts(times) is not None
 
 
 def _exact_parts(flat: list):
@@ -270,6 +270,8 @@ def matrix_from_json(obj: dict, mode: str) -> ReflectionMatrix2:
 
 @_gc_paused
 def triple_to_json(t: SolutionTriple) -> dict:
+    """The document of a triple; its paths on one time array share one
+    "times" list, so edit a copy of it, not the list in place."""
     mode = t.f.mode
     f, g, m = _paths_to_json(t.f, t.g, t.m)
     out = {"matrix": matrix_to_json(t.R, mode), "f": f, "g": g, "m": m}
@@ -292,6 +294,8 @@ def triple_from_json(obj: dict) -> SolutionTriple:
 
 @_gc_paused
 def solution_to_json(g: PLPath2, m: PLPath2, iterations: int, converged: bool, residual: float) -> dict:
+    """The document of a solution; its paths on one time array share one
+    "times" list, so edit a copy of it, not the list in place."""
     g, m = _paths_to_json(g, m)
     return {"g": g, "m": m, "iterations": iterations, "converged": converged, "residual": residual}
 
@@ -301,6 +305,8 @@ _BUNDLE_PATHS = ("u", "m", "mbar", "f", "g", "gbar")
 
 @_gc_paused
 def bundle_to_json(b: CounterexampleBundle) -> dict:
+    """The document of a counterexample bundle; its paths on one time array
+    share one "times" list, so edit a copy of it, not the list in place."""
     mode = b.u.mode
     return {
         "matrix": matrix_to_json(b.R, mode),

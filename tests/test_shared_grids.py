@@ -1,10 +1,10 @@
 """A document's paths that share a time grid have it encoded and decoded once.
 
 The builders put one list into every path on a shared time array, so the
-bytes are those of separate copies; the readers decode a grid once and hand
-it to a later path of the same mode whose list is the same object or, in
-exact mode, equal and of the bulk reader's types. Reuse must never skip a
-check: a later path is refused exactly when it would be refused alone.
+bytes are those of separate copies; the readers decode an exact grid once
+and hand it to a later exact path whose list is equal and of the bulk
+reader's types. Reuse must never skip a check: a later path is refused
+exactly when it would be refused alone.
 """
 
 import copy
@@ -41,6 +41,8 @@ def bundle():
 def test_bundle_document_holds_one_times_list_and_the_bytes_of_separate_ones(bundle):
     doc = serialize.bundle_to_json(bundle)
     assert all(doc[k]["times"] is doc["u"]["times"] for k in _PATHS)
+    triple = serialize.triple_to_json(bundle.triple())
+    assert triple["f"]["times"] is triple["g"]["times"] is triple["m"]["times"]
     separate = dict(doc, **{k: serialize.path_to_json(p) for k, p in zip(_PATHS, _paths(bundle))})
     assert all(separate[k]["times"] is not separate["u"]["times"] for k in _PATHS[1:])
     assert json.dumps(doc) == json.dumps(separate)
