@@ -8,6 +8,9 @@ Each JSON document is encoded once, by `json.dumps(doc, sort_keys=True)`:
 `_emit` prints every stdout document, and `solve --out` writes the same
 text without the final newline. `counterexample --out` writes the bundle,
 which is a different document from the one printed.
+
+Each command runs with the cyclic garbage collector paused (`run`), so reading,
+building and encoding its documents triggers no collection.
 """
 
 from __future__ import annotations
@@ -92,10 +95,8 @@ def _parse_tol(text: str):
     return 0 if fr == 0 else float(fr)
 
 
-@serialize._gc_paused
 def _read_json(path: str):
-    """The JSON document in a file, read with the cyclic garbage collector
-    paused, as the encoders build one. Any ValueError while reading it
+    """The JSON document in a file. Any ValueError while reading it
     (malformed JSON, bad UTF-8, an integer past the interpreter's digit
     limit) is a UsageError."""
     try:
@@ -294,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@serialize._gc_paused
 def run(argv=None) -> int:
     parser = build_parser()
     try:

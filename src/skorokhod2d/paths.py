@@ -25,8 +25,8 @@ unit of time or space. Every grid that an operation builds goes through
 `merge_times`: each time of the base grid is kept, and another time joins
 unless it is the same breakpoint as a kept time, their difference negligible
 against max(|s|, |t|). The readers that check or measure paths put them on
-the union of their grids with only equal times merged (`refine`), so no
-breakpoint of an input goes unread.
+the sorted union of their grids with only equal times merged (`refine`), one
+rule for both modes, so no breakpoint of an input goes unread.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ def _coerce_scalar(x, mode: str) -> Scalar:
 
 
 def _array(a, mode: str):
-    """An array of a's scalars: a new finite float64 array, or a DyadicArray."""
+    """An array of a's scalars: a new finite C-order float64 array, or a DyadicArray."""
     if mode == EXACT:
         return DyadicArray.of(a)
-    a = np.array(a, dtype=float)
+    a = np.array(a, dtype=float, order="C")
     if not np.all(np.isfinite(a)):
         raise UsageError("float paths need finite times and values")
     return a
@@ -194,7 +194,7 @@ def _merge(merged, *extras):
     """`merge_times` on time arrays of one mode's scalars. Exact times are ints
     on one exponent, so exact equality is int equality and nothing is hashed."""
     for e in extras:
-        if not len(e) or _same(merged, e):
+        if not len(e):
             continue
         i = np.searchsorted(merged, e)  # merged[i - 1] < e <= merged[i]
         below = merged[np.maximum(i - 1, 0)]
@@ -211,8 +211,8 @@ def _merge(merged, *extras):
 
 
 def _same(s, t) -> bool:
-    """Two grids of equal times: most regrids and merges meet one, and this
-    test costs far less than the bracket search."""
+    """Two grids of equal times: most regrids meet one, since a reader's paths
+    often share a grid, and this test costs far less than the bracket search."""
     return len(s) == len(t) and bool(np.all(s == t))
 
 
@@ -247,17 +247,14 @@ def _regrid(path: PLPath2, s) -> PLPath2:
 
 
 def refine(*paths: PLPath2) -> tuple[PLPath2, ...]:
-    """Put paths sharing mode, start and end on the union of their grids,
-    with only equal times merged, so every breakpoint of every path is read.
-    For readers that check or measure paths; builders of new grids use
-    `_merge` and its breakpoint rule."""
-    first = paths[0]
+    """Put paths sharing mode, start and end on the sorted union of their
+    grids, with only equal times merged, so every breakpoint of every path is
+    read. One rule for both modes, for readers that check or measure paths;
+    builders of new grids use `_merge` and its breakpoint rule."""
     for q in paths[1:]:
-        _require_compatible(first, q)
+        _require_compatible(paths[0], q)
     ts = [p.t for p in paths]
-    if first.mode == EXACT:  # the breakpoint rule is exact equality
-        grid = _merge(*ts)
-    elif all(_same(ts[0], t) for t in ts[1:]):
+    if all(_same(ts[0], t) for t in ts[1:]):
         grid = ts[0]
     else:  # np.unique's first call would import numpy.ma, some 20 ms
         grid = np.sort(np.concatenate(ts))

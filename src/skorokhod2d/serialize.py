@@ -37,8 +37,8 @@ decoder could not read back.
 
 The builders of whole documents (`path_to_json`, `solution_to_json`,
 `triple_to_json`, `bundle_to_json`) run with Python's cyclic garbage
-collector paused (`_gc_paused`), and so does the CLI's `json.loads` of a
-document. A float document holds one small list per point pair, so building
+collector paused (`_gc_paused`), and so does each CLI command (`cli.run`).
+A float document holds one small list per point pair, so building
 or reading a 10^5-point path allocates enough containers to trigger several
 full collections, each of which scans every live container, though lists of
 floats can never form a reference cycle. The collector comes back on (if it

@@ -21,7 +21,8 @@ error shrinks by one rate per sweep, about |a1*a2| under a rotational
 matrix; once two successive rate estimates agree, the iteration jumps to the
 limit of that geometric series (Aitken's extrapolation). A jump after which
 the next sweep moves m more than the one before it is undone, and the round
-sweeps plainly on.
+sweeps plainly on. Both solvers start from one set-up (`_set_up`) and return
+g and m on one time array (`_result`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
 from .errors import DivergenceError, StepInfeasibleError, UsageError
-from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _grid, _merge, with_times
+from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _array, _grid, _merge, with_times
 
 
 @dataclass
@@ -77,21 +78,28 @@ def skorokhod_1d(h: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.maximum(-h, 0.0))
 
 
-def _grid_for(f: PLPath2, cfg: SolveConfig) -> np.ndarray:
-    if cfg.grid is None:
-        return f.t
-    # keep f's breakpoints so the sampled f is the exact path
-    grid = _merge(f.t, cfg.grid)
-    if grid[0] != f.t[0] or grid[-1] != f.t[-1]:
-        raise UsageError("grid reaches outside the driving path's time domain")
-    return grid
-
-
-def _check_driving(f: PLPath2) -> None:
+def _set_up(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig):
+    """Both solvers' start: R's entries as floats, the grid (f's breakpoints,
+    merged with cfg.grid if given, so the sampled f is the exact path), f's
+    points on it, and eps = FLOAT_DEDUP * sup|f|, below which g_j counts as 0."""
     if f.mode != FLOAT:
         raise UsageError("solvers run in float mode only")
     if np.any(f.x[0] < 0):
         raise UsageError("driving function must have f(start) >= 0")
+    grid = f.t
+    if cfg.grid is not None:
+        grid = _merge(f.t, cfg.grid)
+        if grid[0] != f.t[0] or grid[-1] != f.t[-1]:
+            raise UsageError("grid reaches outside the driving path's time domain")
+    x = with_times(f, grid).x
+    return float(R.a1), float(R.a2), grid, x, FLOAT_DEDUP * float(np.max(np.abs(x)))
+
+
+def _result(t, g, m, iterations: int, converged: bool, residual: float) -> SolveResult:
+    """g and m on one time array: `PLPath2` checks t and g, and m takes g's
+    grid with a checked, finite, C-contiguous copy of its values."""
+    g = PLPath2(t, g, FLOAT)
+    return SolveResult(g, PLPath2._of(g.t, _array(m, FLOAT)), iterations, converged, residual)
 
 
 def solve_fixed_point(
@@ -122,11 +130,9 @@ def solve_fixed_point(
     complementarity holds to machine precision. Each round of enrichment
     iterates again from the converged m on the enriched grid.
     """
-    _check_driving(f)
-    a1, a2 = float(R.a1), float(R.a2)
+    a1, a2, grid, fx, eps = _set_up(R, f, cfg)
+    fx = fx.T.copy()  # contiguous rows for the sweeps
     lam = cfg.damping
-    grid = _grid_for(f, cfg)
-    fx = with_times(f, grid).x.T.copy()  # contiguous rows for the sweeps
 
     if init is None:
         init = (np.zeros_like(grid),) * 2
@@ -138,7 +144,6 @@ def solve_fixed_point(
     total_iters = 0
     converged = False
     diff = np.inf
-    eps = FLOAT_DEDUP * float(np.max(np.abs(fx)))
 
     for round_index in range(1, 251):
         converged = False
@@ -195,11 +200,8 @@ def solve_fixed_point(
         grid = enriched
 
     (f1, f2), (m1, m2) = fx, m
-    g1 = f1 + m1 + a1 * m2
-    g2 = f2 + a2 * m1 + m2
-    g_path = PLPath2(grid, np.column_stack([g1, g2]), FLOAT)
-    m_path = PLPath2(grid, m.T, FLOAT)
-    return SolveResult(g_path, m_path, total_iters, converged, float(diff))
+    g = np.column_stack([f1 + m1 + a1 * m2, f2 + a2 * m1 + m2])
+    return _result(grid, g, m.T, total_iters, converged, float(diff))
 
 
 def _kink_times(grid, f, m, a1, a2, eps) -> np.ndarray:
@@ -310,13 +312,10 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
     segment in it is quiet, so the work stays linear; the first segment
     that is not quiet goes back to `_march`.
     """
-    _check_driving(f)
-    if not is_completely_s(ReflectionMatrix2(float(R.a1), float(R.a2))):
+    a1, a2, grid, x, eps = _set_up(R, f, cfg)
+    if not is_completely_s(ReflectionMatrix2(a1, a2)):
         raise UsageError("grid solver requires a completely-S matrix")
-    grid = _grid_for(f, cfg)
-    x = with_times(f, grid).x
-    eps = FLOAT_DEDUP * float(np.max(np.abs(x)))
-    rates = _Rates(float(R.a1), float(R.a2), np.diff(x, axis=0) / np.diff(grid)[:, None])
+    rates = _Rates(a1, a2, np.diff(x, axis=0) / np.diff(grid)[:, None])
     ts = grid.tolist()  # Python floats index faster in the marching loop
 
     g1, g2 = max(float(x[0, 0]), 0.0), max(float(x[0, 1]), 0.0)
@@ -346,9 +345,7 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
         k += 1
 
     out = np.concatenate(blocks + [_rows_array(rows)])
-    g_path = PLPath2(out[:, 0], out[:, 1:3], FLOAT)
-    m_path = PLPath2(out[:, 0], out[:, 3:], FLOAT)
-    return SolveResult(g_path, m_path, len(out) - 1, True, 0.0)
+    return _result(out[:, 0], out[:, 1:3], out[:, 3:], len(out) - 1, True, 0.0)
 
 
 def _rows_array(rows: list) -> np.ndarray:

@@ -75,7 +75,8 @@ class VerificationReport:
 
 
 def _check_tol(tol) -> None:
-    if tol < 0:
+    """Refuse any tol that is not >= 0: a NaN tol would pass every `x > tol`."""
+    if not tol >= 0:
         raise UsageError(f"tol must be nonnegative, got {tol}")
 
 
@@ -188,7 +189,7 @@ class UniquenessDiagnostics:
             "times": times,
             "u": points,
             "v": [float(x) for x in self.v],
-            "sectors": [s.value for s in self.sector_sequence],
+            "sectors": [s._value_ for s in self.sector_sequence],  # not the slower .value
             "v_monotone_on_support": self.v_monotone_on_support,
             "max_v": float(self.max_v),
         }
@@ -235,6 +236,7 @@ def check_e2_signs(s1: SolutionTriple, s2: SolutionTriple, tol=0.0) -> E2Report:
     Only meaningful for the canonical critical matrix [[1, -1], [1, 1]];
     midpoint values stand in for the measure-theoretic statement on PL data.
     """
+    _check_tol(tol)
     canonical = ReflectionMatrix2(-1, 1)
     for s in (s1, s2):
         if not _same_matrix(s.R, canonical):

@@ -19,6 +19,7 @@ from skorokhod2d.cli import run
 from skorokhod2d.counterexample import build_counterexample
 from skorokhod2d.errors import UsageError
 from skorokhod2d.paths import EXACT, FLOAT, PLPath2
+from skorokhod2d.verifier import UniquenessDiagnostics
 
 
 @pytest.fixture(autouse=True)
@@ -148,4 +149,22 @@ def test_cli_reads_documents_with_the_collector_paused(tmp_path, capsys, monkeyp
                                   "g": sol["g"], "m": sol["m"]}))
     assert run(["verify", "--triple", str(triple), "--tol", "1e-9"]) == 0
     capsys.readouterr()
+    assert states == [False, False] and gc.isenabled()
+
+
+def test_cli_builds_and_encodes_compare_documents_with_the_collector_paused(tmp_path, capsys, monkeypatch):
+    triple = tmp_path / "triple.json"
+    triple.write_text(json.dumps(serialize.triple_to_json(build_counterexample(-2, 8).triple())))
+    to_json, dumps, states = UniquenessDiagnostics.to_json, json.dumps, []
+
+    def recording(build):
+        def record(*args, **kwargs):
+            states.append(gc.isenabled())
+            return build(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(UniquenessDiagnostics, "to_json", recording(to_json))
+    monkeypatch.setattr(json, "dumps", recording(dumps))
+    assert run(["compare", "--s1", str(triple), "--s2", str(triple)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_v"] == 0
     assert states == [False, False] and gc.isenabled()

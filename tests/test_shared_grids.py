@@ -20,6 +20,7 @@ from skorokhod2d.counterexample import build_counterexample
 from skorokhod2d.dyadic import Dyadic
 from skorokhod2d.errors import UsageError
 from skorokhod2d.paths import EXACT, FLOAT, PLPath2
+from skorokhod2d.solver import SolveConfig, solve_fixed_point, solve_grid
 from skorokhod2d.verifier import SolutionTriple
 
 _PATHS = ("u", "m", "mbar", "f", "g", "gbar")
@@ -46,6 +47,19 @@ def test_bundle_document_holds_one_times_list_and_the_bytes_of_separate_ones(bun
     separate = dict(doc, **{k: serialize.path_to_json(p) for k, p in zip(_PATHS, _paths(bundle))})
     assert all(separate[k]["times"] is not separate["u"]["times"] for k in _PATHS[1:])
     assert json.dumps(doc) == json.dumps(separate)
+
+
+@pytest.mark.parametrize("solve", [solve_fixed_point, solve_grid])
+def test_solution_document_holds_one_times_list_and_the_bytes_of_separate_ones(solve):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(201, 2)).cumsum(axis=0) * 0.1
+    f = PLPath2(np.linspace(0.0, 1.0, 201), x - x[0] + 0.05, FLOAT)
+    res = solve(ReflectionMatrix2(-0.5, 0.5), f, SolveConfig())
+    doc = serialize.solution_to_json(res.g, res.m, res.iterations, res.converged, res.residual)
+    assert doc["g"]["times"] is doc["m"]["times"]
+    separate = dict(doc, g=serialize.path_to_json(res.g), m=serialize.path_to_json(res.m))
+    assert separate["g"]["times"] is not separate["m"]["times"]
+    assert json.dumps(doc, sort_keys=True) == json.dumps(separate, sort_keys=True)
 
 
 def test_bundle_round_trip_decodes_equal_paths_on_one_time_array(bundle):

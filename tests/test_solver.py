@@ -119,6 +119,20 @@ def test_solvers_agree_and_verify():
         assert rep.passed, rep.to_json()
 
 
+@pytest.mark.parametrize("solve", [solve_fixed_point, solve_grid])
+def test_solution_holds_g_and_m_on_one_time_array(solve):
+    # the grid of f merged with a coarser one, so the grid is built, not f's
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=(41, 2)).cumsum(axis=0) * 0.2
+    f = float_path(np.linspace(0.0, 1.0, 41), [tuple(v) for v in vals - vals[0] + 0.1])
+    R = ReflectionMatrix2(-0.6, 0.4)
+    res = solve(R, f, SolveConfig(tol=1e-12, grid=np.linspace(0.0, 1.0, 7)))
+    assert res.g.t is res.m.t
+    for a in (res.g.t, res.g.x, res.m.x):
+        assert a.flags.c_contiguous and not a.flags.writeable
+    assert verify(SolutionTriple(R, f, res.g, res.m), tol=1e-10).passed
+
+
 def test_converged_result_passes_verify_at_ten_tol():
     rng = np.random.default_rng(11)
     for _ in range(5):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from skorokhod2d.classify import ReflectionMatrix2
 from skorokhod2d.counterexample import build_counterexample
 from skorokhod2d.dyadic import Dyadic
 from skorokhod2d.errors import UsageError
-from skorokhod2d.paths import EXACT, FLOAT, PLPath2, scale_components
+from skorokhod2d.paths import EXACT, FLOAT, PLPath2, refine, scale_components
 from skorokhod2d.solver import SolveConfig, solve_fixed_point
 from skorokhod2d.verifier import (
     Sector,
@@ -274,6 +275,27 @@ def test_e2_sign_check_is_exact_on_exact_triples():
     assert check_e2_signs(s1, s2, tol=float("inf")).ok
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1, -1.0, Dyadic(-1, -3)])
+def test_every_reader_refuses_a_tol_that_is_not_nonnegative(tol):
+    # at a NaN tol every `x > tol` is False: compare_solutions reported the
+    # spiral's growing v as monotone and check_e2_signs passed a violating
+    # pair, and verify of an exact triple raised ExactnessError
+    b = build_counterexample(Dyadic(-2), depth=8)
+    R = ReflectionMatrix2(Dyadic(-1), Dyadic(1))
+    zero = exact_path([0, 1], [(0, 0), (0, 0)])
+    away = SolutionTriple(R, zero, zero, exact_path([0, 1], [(0, 0), (1, 1)]))
+    rest = SolutionTriple(R, zero, zero, zero)
+    assert not check_e2_signs(away, rest, tol=0).ok
+    f = PLPath2((0.0, 1.0), ((1.0, 1.0), (1.0, 1.0)), FLOAT)
+    still = PLPath2((0.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), FLOAT)
+    for read in (lambda: verify(b.triple(), tol),
+                 lambda: verify(SolutionTriple(ReflectionMatrix2(0.5, 0.5), f, f, still), tol),
+                 lambda: compare_solutions(b.triple(), b.triple_bar(), tol),
+                 lambda: check_e2_signs(away, rest, tol)):
+        with pytest.raises(UsageError, match="tol must be nonnegative"):
+            read()
+
+
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_compare_sectors_on_the_boundary_rays(mode):
     # the difference path sits at the origin, then on the eight boundary
@@ -330,10 +352,15 @@ def test_verify_reads_a_breakpoint_next_to_another():
     assert rep.eq_residual == 1e6 + 1
 
 
+def _union_times(triple) -> tuple:
+    """Every breakpoint of every path of the triple, sorted, each time once."""
+    return tuple(sorted(set(triple.f.times) | set(triple.g.times) | set(triple.m.times)))
+
+
 def _pointwise_reference(triple, tol) -> bool:
     """verify's pointwise conditions checked by brute force: every path
     evaluated by `eval` at every breakpoint of every path."""
-    times = sorted(set(triple.f.times) | set(triple.g.times) | set(triple.m.times))
+    times = _union_times(triple)
     a1, a2 = triple.R.a1, triple.R.a2
     prev = triple.m.eval(times[0])
     if max(map(abs, prev)) > tol:
@@ -353,9 +380,16 @@ def _pointwise_reference(triple, tol) -> bool:
 def _spiked_triples(draw):
     """A complementary triple on one grid (m rises in a component only where
     g is zero in it at both ends), then breakpoints of arbitrary value put
-    into its paths, mostly within 2^-40 relative of a grid time."""
-    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
-    t = np.array(sorted({0.0, 1.0, *inner}))
+    into its paths, mostly within 2^-40 relative of a grid time. Float, or
+    exact (the doubles read as dyadics): then the grid's segments and each
+    spike's distance from its grid time are powers of two, and a segment
+    holds at most one spike, so every interpolation is exact."""
+    mode = draw(st.sampled_from([FLOAT, EXACT]))
+    if mode == FLOAT:
+        inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+        t = np.array(sorted({0.0, 1.0, *inner}))
+    else:
+        t = np.linspace(0.0, 1.0, 2 ** draw(st.integers(0, 3)) + 1)
     n = len(t)
     zero = np.array(draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=n, max_size=n)))
     g = np.where(zero, 0.0, draw(st.lists(st.tuples(*[st.floats(0.1, 2)] * 2), min_size=n, max_size=n)))
@@ -365,21 +399,28 @@ def _spiked_triples(draw):
     a1, a2 = draw(st.sampled_from([-0.5, 0.0, 0.5])), draw(st.sampled_from([-0.5, 0.0, 0.5]))
     f = g - np.column_stack([m[:, 0] + a1 * m[:, 1], a2 * m[:, 0] + m[:, 1]])
     paths = {"f": [t, f], "g": [t, g], "m": [t, m]}
+    spiked = set()  # the grid segments holding a spike
     for name in draw(st.lists(st.sampled_from("fgm"), max_size=3)):
         ts, xs = paths[name]
         k = draw(st.integers(0, n - 1))
-        rel = draw(st.one_of(st.floats(-2.0**-41, 2.0**-41), st.floats(-0.5, 0.5)))
-        s = t[k] + rel * t[k]
+        d = draw(st.one_of(st.floats(-2.0**-41, 2.0**-41), st.floats(-0.5, 0.5))) * t[k]
+        if mode == EXACT and d:
+            d = math.copysign(2.0 ** math.floor(math.log2(abs(d))), d)
+        s = t[k] + d
         value = draw(st.tuples(*[st.floats(-3, 3)] * 2))
-        if 0 < s < 1 and s not in ts:
+        segment = int(np.searchsorted(t, s))
+        if 0 < s < 1 and s not in ts and (mode == FLOAT or segment not in spiked):
+            spiked.add(segment)
             i = int(np.searchsorted(ts, s))
             paths[name] = [np.insert(ts, i, s), np.insert(xs, i, value, axis=0)]
     R = ReflectionMatrix2(a1, a2)
-    return SolutionTriple(R, *(PLPath2(*paths[k], FLOAT) for k in "fgm"))
+    return SolutionTriple(R, *(PLPath2(*paths[k], mode) for k in "fgm"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_spiked_triples())
 def test_verify_pass_holds_at_every_breakpoint_of_every_path(triple):
+    # the readers' grid is the brute-force union of the paths' times, in both modes
+    assert all(p.times == _union_times(triple) for p in refine(triple.f, triple.g, triple.m))
     if verify(triple, tol=1e-9).passed:
         assert _pointwise_reference(triple, 1e-9)
