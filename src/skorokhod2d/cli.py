@@ -115,6 +115,14 @@ def _emit(doc: dict, out: str | None = None) -> None:
     sys.stdout.write("\n")
 
 
+def _report(diag) -> dict:
+    """A report's document; a value past the double range is a usage error."""
+    try:
+        return diag.to_json()
+    except OverflowError:
+        raise UsageError("a reported value is beyond the double range") from None
+
+
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -176,13 +184,9 @@ def _cmd_counterexample(args) -> int:
         "gap_at_end": [float(x) for x in solution_gap(bundle)],
         "identities_ok": check_identities(bundle),
     }
-    ok = True
-    if args.verify:
-        r1 = verify(bundle.triple(), bundle.tol)
-        r2 = verify(bundle.triple_bar(), bundle.tol)
-        doc["verify"] = r1.to_json()
-        doc["verify_bar"] = r2.to_json()
-        ok = r1.passed and r2.passed
+    triples = (bundle.triple(), bundle.triple_bar()) if args.verify else ()
+    reports = [verify(t, bundle.tol) for t in triples]
+    doc.update(zip(("verify", "verify_bar"), map(_report, reports)))
     files = {}  # made before any is written, so a refused one leaves no file
     if args.out:
         files[args.out] = json.dumps(serialize.bundle_to_json(bundle), sort_keys=True)
@@ -195,7 +199,7 @@ def _cmd_counterexample(args) -> int:
         f"counterexample a1={doc['a1']}, depth={bundle.depth}: "
         f"gap at t=1 is {doc['gap_at_end']}"
     )
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_verify(args) -> int:
@@ -205,7 +209,7 @@ def _cmd_verify(args) -> int:
         R = _parse_matrix(args.matrix, exact=triple.f.mode == "exact")
         triple = type(triple)(R, triple.f, triple.g, triple.m, triple.tail_bound)
     report = verify(triple, tol, strict=args.strict)
-    _emit(report.to_json())
+    _emit(_report(report))
     _note(f"verification {'passed' if report.passed else 'FAILED'} at tol={tol}")
     return 0 if report.passed else 1
 
@@ -215,7 +219,7 @@ def _cmd_compare(args) -> int:
     s1 = serialize.triple_from_json(_read_json(args.s1))
     s2 = serialize.triple_from_json(_read_json(args.s2))
     diag = compare_solutions(s1, s2, tol)
-    _emit(diag.to_json())
+    _emit(_report(diag))
     _note(
         f"max_v={float(diag.max_v):.6g}, "
         f"v_monotone_on_support={diag.v_monotone_on_support}"

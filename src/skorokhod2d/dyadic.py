@@ -379,17 +379,19 @@ class DyadicArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     @classmethod
     def of(cls, a) -> "DyadicArray":
-        """Exact array of a's numbers: a DyadicArray as it is, else an int array
-        or nested sequences of int, float, Fraction or Dyadic."""
+        """Exact array of a's numbers: a as it is if it is a read-only DyadicArray
+        that owns its ints, else a new array of a DyadicArray, an int array or
+        nested sequences of int, float, Fraction or Dyadic."""
         if isinstance(a, DyadicArray):
-            return a
+            return a if a.m.flags.owndata and not a.m.flags.writeable else cls(a.m.copy(), a.e)
         a = np.array(a, dtype=object)  # the ints of an int64 array become Python ints
         ds = [to_dyadic(v) for v in a.ravel().tolist()]
-        return cls.from_parts([d.mantissa for d in ds], [d.exp2 for d in ds]).reshape(a.shape)
+        parts = [d.mantissa for d in ds], [d.exp2 for d in ds]
+        return cls.from_parts(*(np.array(p, dtype=object).reshape(a.shape) for p in parts))
 
     @classmethod
     def from_parts(cls, mantissas, exponents) -> "DyadicArray":
-        """The flat array of the values mantissas[i] * 2**exponents[i]."""
+        """A new array, of their shape, of the values mantissas[i] * 2**exponents[i]."""
         m = np.array(mantissas, dtype=object)
         e = np.array(exponents, dtype=object)
         nonzero = m != 0
@@ -404,15 +406,14 @@ class DyadicArray(np.lib.mixins.NDArrayOperatorsMixin):
                  for v in self.m.ravel().tolist()]
         return [m for m, _ in parts], [k for _, k in parts]
 
-    def frozen(self) -> "DyadicArray":
-        """Self if read-only; else a read-only copy on the largest shared exponent."""
-        if not self.m.flags.writeable:
-            return self
-        low = np.bitwise_or.reduce(self.m, axis=None) if self.m.size else 0
-        k = (low & -low).bit_length() - 1
-        m, e = (self.m >> k, self.e + k) if k > 0 else (self.m.copy(), self.e if low else 0)
-        m.flags.writeable = False
-        return DyadicArray(m, e)
+    def setflags(self, write=None) -> None:
+        """As `ndarray.setflags`; a writeable array made read-only first moves, in
+        place, to the largest exponent its ints share, which keeps every value."""
+        if write is False and self.m.flags.writeable:
+            low = np.bitwise_or.reduce(self.m, axis=None) if self.m.size else 0
+            k = (low & -low).bit_length() - 1
+            self.m, self.e = (self.m >> k, self.e + k) if k > 0 else (self.m, self.e if low else 0)
+        self.m.setflags(write=write)
 
     # --- numpy protocol -----------------------------------------------------
 

@@ -5,16 +5,18 @@ grid time, linearly interpolated in between. Every path is either in exact
 mode (dyadic rationals, no operation ever rounds) or float mode (finite IEEE
 doubles). The two modes never mix inside one path or one binary operation.
 
-A path keeps read-only arrays `t` (n,) and `x` (n, 2): float64 in float
-mode; in exact mode each is a `DyadicArray`, one numpy object array of Python
-ints and one power of two for the whole array, so t = t.m * 2**t.e. The mode
-is the type of the arrays, not a stored field: only the converters of raw
-input (`PLPath2(...)`, `merge_times`, `with_times`, `eval` and the scalar
-arguments of `matrix_apply` and `scale_components`) take a mode. Each
-operation is one piece of array code for both modes, and in exact mode it runs
-as numpy loops over ints; constants such as 0 are plain Python ints, which
-the exact kernels take as they are. `times`, `values` and `eval` give Python
-floats or Dyadic, built on each use. Values between breakpoints come from
+A path keeps read-only arrays `t` (n,) and `x` (n, 2): float64 in float mode;
+in exact mode each is a `DyadicArray`, one numpy object array of Python ints
+and one power of two for the whole array, so t = t.m * 2**t.e. Paths share
+read-only arrays that own their data; `PLPath2(...)` copies any other array
+once, and operations freeze their fresh arrays in place. The mode is the type
+of the arrays, not a stored field: only the converters of raw input
+(`PLPath2(...)`, `merge_times`, `with_times`, `eval` and the scalar arguments
+of `matrix_apply` and `scale_components`) take a mode. Each operation is one
+piece of array code for both modes, and in exact mode it runs as numpy loops
+over ints; constants such as 0 are plain Python ints, which the exact kernels
+take as they are. `times`, `values` and `eval` give Python floats or Dyadic,
+built on each use. Values between breakpoints come from
 v0 + (t - t0) * (v1 - v0) / (t1 - t0), sign changes from
 t0 + (t1 - t0) * d0 / (d0 - d1): exact in exact mode, or ExactnessError when
 a quotient is not dyadic.
@@ -68,17 +70,20 @@ def _coerce_scalar(x, mode: str) -> Scalar:
 
 
 def _array(a, mode: str):
-    """An array of a's scalars: a new finite C-order float64 array, or a DyadicArray."""
+    """An array of a's scalars: a itself if it is a read-only array of them that
+    owns its data (float64 in C order), else a new one; floats must be finite."""
     if mode == EXACT:
         return DyadicArray.of(a)
-    a = np.array(a, dtype=float, order="C")
+    if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=float, order="C")
     if not np.all(np.isfinite(a)):
         raise UsageError("float paths need finite times and values")
     return a
 
 
 def _grid(times, mode: str):
-    """A new nonempty, strictly increasing time array of the mode's scalars."""
+    """A nonempty, strictly increasing time array of the mode's scalars (`_array`)."""
     t = _array(times, mode)
     if t.ndim != 1 or not len(t):
         raise UsageError("a time grid must be a nonempty sequence of times")
@@ -108,10 +113,8 @@ class PLPath2:
         return cls.__new__(cls)._freeze(t, x)
 
     def _freeze(self, t, x) -> "PLPath2":
-        if isinstance(t, DyadicArray):
-            t, x = t.frozen(), x.frozen()
-        else:
-            t.flags.writeable = x.flags.writeable = False
+        t.setflags(write=False)
+        x.setflags(write=False)
         self.t, self.x = t, x
         return self
 

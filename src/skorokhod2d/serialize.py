@@ -17,16 +17,14 @@ missing or malformed key, or the first malformed scalar.
 A document's paths that share a time grid have it encoded and decoded once.
 The builders encode each distinct time array once per document and put that
 one list into every path on the array, so `json.dumps` writes the same bytes
-as for separate copies. The paths of a built document thus share their
-"times" list, down to its scalar dicts: edit a copy, not the list in place,
-or every path on that grid changes. The readers decode an exact path's
-"times" once and hand the decoded grid to a later exact path whose list
-compares equal and passes the bulk reader's type gate, so it would decode to
-the same values; this holds for a document parsed from a file as much as for
-one a builder returned. Float paths each decode their own grid, since a float
-`PLPath2` copies its grid anyway. Every path still goes through `PLPath2`'s
-checks, and a decoded exact bundle's six paths share one time array, as a
-built one's do.
+as for separate copies. The paths of a built document thus share their "times"
+list, down to its scalar dicts: edit a copy, not the list in place, or every
+path on that grid changes. The readers decode a path's "times" once and hand
+the read-only grid to a later path of its mode whose list compares equal and
+would decode to the same values; this holds for a document parsed from a file
+as much as for one a builder returned. Every path still goes through
+`PLPath2`'s checks, and a decoded bundle's six paths, or a solution's g and m,
+share one read-only time array, as built ones do.
 
 Exact values have one representable range, `_check_range`, which the encoder
 and the decoder both apply: a mantissa has at most the interpreter's
@@ -190,12 +188,10 @@ def path_from_json(obj: dict) -> PLPath2:
 
 
 def _paths_from_json(*objs) -> list:
-    """The paths of documents. An exact path's "times" is decoded only when no
-    earlier exact path's list is equal to it (`==`, which also matches the same
-    list object) and of the bulk reader's types, so no bool or float part that
-    `==` makes equal to an int; the later path gets that path's grid. A float
-    path always decodes its own, since `PLPath2` copies a float grid anyway."""
-    grids = []  # ("times" list, its decoded grid) of each exact grid decoded
+    """The paths of documents. A path's "times" is decoded unless an earlier
+    path of its mode has a list `==` to it (as the same list object is) that
+    decodes alike (`_decodes_alike`); then it gets that path's read-only grid."""
+    grids = []  # ((mode, "times" list), its decoded grid) of each grid decoded
     paths = []
     for obj in objs:
         mode = _field(obj, "mode")
@@ -205,16 +201,24 @@ def _paths_from_json(*objs) -> list:
         if set(map(type, values)) - {list} or set(map(len, values)) - {2}:
             raise UsageError("malformed 'values': each entry must be a pair")
         times = _field(obj, "times", list)
-        if mode == FLOAT:
+        t = next((grid for seen, grid in grids
+                  if seen == (mode, times) and _decodes_alike(times, grid)), None)
+        if t is None:
             t = _scalars(times, mode)
-        else:
-            t = next((grid for seen, grid in grids if seen == times), None)
-            if t is None or _exact_parts(times) is None:
-                t = _scalars(times, mode).frozen()  # read-only: every path keeps this array
-                grids.append((times, t))
+            t.setflags(write=False)
+            grids.append(((mode, times), t))
         x = _scalars(list(chain.from_iterable(values)), mode).reshape(-1, 2)
         paths.append(PLPath2(t, x, mode))
     return paths
+
+
+def _decodes_alike(times: list, grid) -> bool:
+    """Whether a "times" list `==` to the one decoded to grid decodes to it too:
+    if exact, it passes the bulk reader's type gate (no bool or float part); if
+    float, its one zero, if any, has grid's sign as `float` reads it (-0.0 == 0)."""
+    if isinstance(grid, DyadicArray):
+        return _exact_parts(times) is not None
+    return all(np.signbit(grid[i]) == np.signbit(float(times[i])) for i in np.flatnonzero(grid == 0))
 
 
 def _exact_parts(flat: list):
@@ -283,13 +287,11 @@ def triple_to_json(t: SolutionTriple) -> dict:
 def triple_from_json(obj: dict) -> SolutionTriple:
     f, g, m = _paths_from_json(*(_field(obj, k) for k in ("f", "g", "m")))
     tail = obj.get("tail_bound")
-    return SolutionTriple(
-        R=matrix_from_json(_field(obj, "matrix"), f.mode),
-        f=f,
-        g=g,
-        m=m,
-        tail_bound=None if tail is None else scalar_from_json(tail, f.mode),
-    )
+    tail = None if tail is None else scalar_from_json(tail, f.mode)
+    if isinstance(tail, float) and not math.isfinite(tail):
+        raise UsageError(f"tail_bound must be finite, got {tail}")
+    return SolutionTriple(R=matrix_from_json(_field(obj, "matrix"), f.mode), f=f, g=g, m=m,
+                          tail_bound=tail)
 
 
 @_gc_paused

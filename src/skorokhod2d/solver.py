@@ -36,7 +36,7 @@ import numpy as np
 
 from .classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
 from .errors import DivergenceError, StepInfeasibleError, UsageError
-from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _array, _grid, _merge, with_times
+from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _grid, _merge, with_times
 
 
 @dataclass
@@ -96,10 +96,9 @@ def _set_up(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig):
 
 
 def _result(t, g, m, iterations: int, converged: bool, residual: float) -> SolveResult:
-    """g and m on one time array: `PLPath2` checks t and g, and m takes g's
-    grid with a checked, finite, C-contiguous copy of its values."""
+    """g and m on one time array: m's `PLPath2` takes g's read-only grid as it is."""
     g = PLPath2(t, g, FLOAT)
-    return SolveResult(g, PLPath2._of(g.t, _array(m, FLOAT)), iterations, converged, residual)
+    return SolveResult(g, PLPath2(g.t, m, FLOAT), iterations, converged, residual)
 
 
 def solve_fixed_point(

@@ -74,10 +74,10 @@ class VerificationReport:
         }
 
 
-def _check_tol(tol) -> None:
+def _check_tol(tol, name: str = "tol") -> None:
     """Refuse any tol that is not >= 0: a NaN tol would pass every `x > tol`."""
     if not tol >= 0:
-        raise UsageError(f"tol must be nonnegative, got {tol}")
+        raise UsageError(f"{name} must be nonnegative, got {tol}")
 
 
 def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationReport:
@@ -110,6 +110,7 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
         strict_ok = not np.any((dm > tol) & ((g.x[:-1] > tol) | (g.x[1:] > tol)))
 
     start_budget = triple.tail_bound if triple.tail_bound is not None else tol
+    _check_tol(start_budget, "tail_bound")
     passed = (
         eq_residual <= tol
         and min_g >= -tol

@@ -428,3 +428,44 @@ def test_classify_exact_radius_beyond_the_double_range_exits_2(capsys):
     assert code == 0 and doc["radius"] == 2.0**50 and doc["radius_exact"] is True
     code, doc = run_json(capsys, ["classify", "--exact", "--a1", "3", "--a2", big])
     assert code == 0 and doc["radius"] == math.sqrt(3) * 2.0**550 and doc["radius_exact"] is False
+
+
+def _exact_triple(gm):
+    """An exact triple document on t in {0, 1} with f = 0 and g = m = gm."""
+    zero = {"m": "0", "e": 0}
+    path = lambda v: {"mode": "exact", "times": [zero, {"m": "1", "e": 0}], "values": [[v, v]] * 2}
+    half = {"m": "1", "e": -1}
+    return {"matrix": {"a1": half, "a2": half}, "f": path(zero), "g": path(gm), "m": path(gm)}
+
+
+def test_reports_past_the_double_range_exit_2_with_one_line(tmp_path, capsys):
+    # 2^2000 is in the exact range, but no double holds the report's values
+    big, zero = tmp_path / "big.json", tmp_path / "zero.json"
+    big.write_text(json.dumps(_exact_triple({"m": "1", "e": 2000})))
+    zero.write_text(json.dumps(_exact_triple({"m": "0", "e": 0})))
+    for argv in (["verify", "--triple", str(big)], ["compare", "--s1", str(big), "--s2", str(zero)]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a reported value is beyond the double range\n"
+    assert run(["compare", "--s1", str(big), "--s2", str(big)]) == 0  # u = 0 is reported
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("tail, message", [
+    (math.inf, "tail_bound must be finite, got inf"),
+    (math.nan, "tail_bound must be finite, got nan"),
+    (-1.0, "tail_bound must be nonnegative, got -1.0"),
+])
+def test_a_tail_bound_that_is_not_finite_and_nonnegative_exits_2(tmp_path, capsys, tail, message):
+    # m(0) = (0.5, 0.5) passes only under a tail bound of at least 0.5
+    path = lambda v: {"mode": "float", "times": [0, 1], "values": [[v, v]] * 2}
+    doc = {"matrix": {"a1": 0.5, "a2": 0.5}, "f": path(0.0), "g": path(0.75), "m": path(0.5)}
+    tpath = tmp_path / "triple.json"
+    tpath.write_text(json.dumps(dict(doc, tail_bound=tail)))
+    assert run(["verify", "--triple", str(tpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    tpath.write_text(json.dumps(dict(doc, tail_bound=0.5)))
+    code, report = run_json(capsys, ["verify", "--triple", str(tpath)])
+    assert code == 0 and report["pass"] is True and report["tail_bound"] == 0.5

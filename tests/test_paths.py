@@ -508,3 +508,76 @@ def test_sup_distance_is_symmetric_with_a_breakpoint_next_to_another():
     p = PLPath2((0.0, 0.5, 1.0), ((0.0, 0.0),) * 3, FLOAT)
     q = PLPath2((0.0, 0.5, 0.5 + 2.0**-45, 1.0), ((0.0, 0.0), (0.0, 0.0), (5e5, 0.0), (0.0, 0.0)), FLOAT)
     assert sup_distance(p, q) == sup_distance(q, p) == 5e5
+
+
+# --- one ownership rule for a path's arrays -----------------------------------
+
+
+def _writeable(a) -> bool:
+    return (a.m if isinstance(a, DyadicArray) else a).flags.writeable
+
+
+def _fresh(values, mode):
+    """A writeable array of the mode's scalars, as a caller would hold one."""
+    return DyadicArray.of(values) if mode == EXACT else np.array(values, dtype=float)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_a_path_shares_a_read_only_array_that_owns_its_data(mode):
+    p = PLPath2((0, 0.5, 1), ((0, 0), (1, 0), (1, 1)), mode)
+    q = PLPath2(p.t, ((1, 1),) * 3, mode)
+    assert q.t is p.t and not _writeable(q.t)
+    assert PLPath2(p.t, p.x, mode).x is p.x
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_a_callers_writeable_arrays_stay_writeable_and_apart(mode):
+    t, x = _fresh([0, 0.5, 1], mode), _fresh([[0, 0], [1, 0], [1, 1]], mode)
+    p = PLPath2(t, x, mode)
+    assert _writeable(t) and _writeable(x)
+    assert p.t is not t and p.x is not x and not _writeable(p.t) and not _writeable(p.x)
+    before = p.times, p.values
+    t[1] = 0.25
+    x[1, 0] = 3
+    assert (p.times, p.values) == before
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_a_read_only_view_of_a_writeable_array_is_copied(mode):
+    base = _fresh([0, 0.5, 1, 2], mode)
+    if mode == EXACT:
+        m = base.m[:3]
+        m.setflags(write=False)
+        view = DyadicArray(m, base.e)
+    else:
+        view = base[:3]
+        view.setflags(write=False)
+    p = PLPath2(view, ((0, 0),) * 3, mode)
+    assert p.t is not view
+    base[1] = 1.5  # on base's exponent, so the write lands in the view's memory
+    assert view[1] == 1.5
+    assert p.times == PLPath2((0, 0.5, 1), ((0, 0),) * 3, mode).times
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_refine_outputs_share_one_read_only_union(mode):
+    p = PLPath2((0, 1), ((0, 0), (1, 1)), mode)
+    q = PLPath2((0, 0.5, 1), ((0, 0), (1, 0), (1, 1)), mode)
+    a, b = refine(p, q)
+    assert a.t is b.t and not _writeable(a.t)
+    assert a.times == b.times == q.times
+    c, d, e = refine(p, q, p)
+    assert c.t is d.t is e.t
+
+
+def test_freezing_a_dyadic_array_in_place_keeps_its_values():
+    a = DyadicArray.of([0, 0.5, 1.5])
+    a.m[:] = a.m * 4  # the same values on a far lower exponent
+    a.e -= 2
+    values = a.tolist()
+    a.setflags(write=False)
+    assert a.tolist() == values and not _writeable(a)
+    assert list(a.m) == [0, 1, 3] and a.e == -1
+    zeros = DyadicArray([0, 0], -9)
+    zeros.setflags(write=False)
+    assert zeros.e == 0 and zeros.tolist() == [Dyadic(0)] * 2

@@ -1,10 +1,12 @@
 """A document's paths that share a time grid have it encoded and decoded once.
 
 The builders put one list into every path on a shared time array, so the
-bytes are those of separate copies; the readers decode an exact grid once
-and hand it to a later exact path whose list is equal and of the bulk
-reader's types. Reuse must never skip a check: a later path is refused
-exactly when it would be refused alone.
+bytes are those of separate copies; the readers decode a grid once and hand
+it to a later path of the same mode whose list is equal and decodes to the
+same grid: for exact lists, of the bulk reader's types; for float lists, with
+the same sign of zero. Reuse must never skip a check or change a bit: a later
+path is refused exactly when it would be refused alone, and decodes as it
+would alone. So a read solution holds g and m on one grid, as a built one does.
 """
 
 import copy
@@ -49,17 +51,34 @@ def test_bundle_document_holds_one_times_list_and_the_bytes_of_separate_ones(bun
     assert json.dumps(doc) == json.dumps(separate)
 
 
-@pytest.mark.parametrize("solve", [solve_fixed_point, solve_grid])
-def test_solution_document_holds_one_times_list_and_the_bytes_of_separate_ones(solve):
+def _walk():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(201, 2)).cumsum(axis=0) * 0.1
-    f = PLPath2(np.linspace(0.0, 1.0, 201), x - x[0] + 0.05, FLOAT)
+    return PLPath2(np.linspace(0.0, 1.0, 201), x - x[0] + 0.05, FLOAT)
+
+
+@pytest.mark.parametrize("solve", [solve_fixed_point, solve_grid])
+def test_solution_document_holds_one_times_list_and_the_bytes_of_separate_ones(solve):
+    f = _walk()
     res = solve(ReflectionMatrix2(-0.5, 0.5), f, SolveConfig())
     doc = serialize.solution_to_json(res.g, res.m, res.iterations, res.converged, res.residual)
     assert doc["g"]["times"] is doc["m"]["times"]
     separate = dict(doc, g=serialize.path_to_json(res.g), m=serialize.path_to_json(res.m))
     assert separate["g"]["times"] is not separate["m"]["times"]
     assert json.dumps(doc, sort_keys=True) == json.dumps(separate, sort_keys=True)
+
+
+@pytest.mark.parametrize("solve", [solve_fixed_point, solve_grid])
+def test_a_read_solution_holds_g_and_m_on_one_read_only_grid(solve):
+    f = _walk()
+    res = solve(ReflectionMatrix2(-0.5, 0.5), f, SolveConfig())
+    doc = serialize.solution_to_json(res.g, res.m, res.iterations, res.converged, res.residual)
+    for sol in (doc, json.loads(json.dumps(doc))):  # one list object, then two equal lists
+        back = serialize.triple_from_json({"matrix": {"a1": -0.5, "a2": 0.5},
+                                           "f": serialize.path_to_json(f), "g": sol["g"], "m": sol["m"]})
+        assert back.g.t is back.m.t and not back.g.t.flags.writeable
+        assert back.g.t.tobytes() == res.g.t.tobytes()
+        assert back.g.x.tobytes() == res.g.x.tobytes() and back.m.x.tobytes() == res.m.x.tobytes()
 
 
 def test_bundle_round_trip_decodes_equal_paths_on_one_time_array(bundle):
@@ -128,16 +147,15 @@ def test_float_times_equal_under_eq_decode_bit_for_bit():
 _TIMES = [{"m": "0", "e": 0}, {"m": "1", "e": -2}, {"m": "3", "e": -2}, {"m": "1", "e": 0}]
 # parts that compare equal to the good ones, or not, in every type JSON can hold
 _SWAPS = st.sampled_from([False, True, 0.0, 1.0, 0, 1, -2, "-2", "0", "1", "3", 3, -2.0, None])
+_FLOAT_TIMES = [0.0, 0.25, 0.75, 1.0]
+# float times that compare equal to 0.0 and decode to either zero, or not
+_FLOAT_SWAPS = st.sampled_from([0.0, -0.0, 0, False, "0", "-0", 0.5, True, 1, "1", None])
+_ZEROS = st.sampled_from([0.0, -0.0, 0, False, "0", "-0"])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("me"), _SWAPS), max_size=3))
-def test_a_later_times_list_decodes_as_it_would_alone(swaps):
-    later = copy.deepcopy(_TIMES)
-    for i, part, value in swaps:
-        later[i][part] = value
-    first = {"mode": EXACT, "times": _TIMES, "values": [[{"m": "1", "e": 0}] * 2] * 4}
-    second = dict(first, times=later)
+def _decodes_as_alone(first, second, same):
+    """The second path of [first, second] decodes as it would alone: the same
+    error, or a grid that `same` finds equal to the lone path's."""
     try:
         want = serialize.path_from_json(second)
     except UsageError as err:
@@ -146,4 +164,21 @@ def test_a_later_times_list_decodes_as_it_would_alone(swaps):
         assert str(got.value) == str(err)
         return
     _, p = serialize._paths_from_json(first, second)
-    assert p.t.to_parts() == want.t.to_parts()
+    assert same(p.t, want.t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("me"), _SWAPS), max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), _FLOAT_SWAPS), max_size=3), _ZEROS)
+def test_a_later_times_list_decodes_as_it_would_alone(swaps, float_swaps, first_zero):
+    later = copy.deepcopy(_TIMES)
+    for i, part, value in swaps:
+        later[i][part] = value
+    first = {"mode": EXACT, "times": _TIMES, "values": [[{"m": "1", "e": 0}] * 2] * 4}
+    _decodes_as_alone(first, dict(first, times=later), lambda s, t: s.to_parts() == t.to_parts())
+    times = [first_zero] + _FLOAT_TIMES[1:]
+    later = list(times)
+    for i, value in float_swaps:
+        later[i] = value
+    first = {"mode": FLOAT, "times": times, "values": [[1.0, 1.0]] * 4}
+    _decodes_as_alone(first, dict(first, times=later), lambda s, t: s.tobytes() == t.tobytes())

@@ -78,6 +78,9 @@ def test_m_start_budget_from_tail_bound():
     assert not no_tail.passed and no_tail.m_start == Dyadic(1, -4)
     with_tail = verify(SolutionTriple(R, f, g, m, tail_bound=Dyadic(1, -3)), tol=0)
     assert with_tail.passed
+    for bad in (Dyadic(-1, -3), -0.125, float("nan")):  # a NaN bound would pass every m_start
+        with pytest.raises(UsageError, match="tail_bound must be nonnegative"):
+            verify(SolutionTriple(R, f, g, m, tail_bound=bad), tol=0)
 
 
 def test_complementarity_violation_detected():
