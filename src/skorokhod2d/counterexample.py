@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import ReflectionMatrix2
-from .dyadic import Dyadic, to_dyadic
+from .dyadic import MAX_EXACT_BITS, Dyadic, to_dyadic
 from .errors import ConstructionError, ExactnessError, UsageError
 from .paths import (
     EXACT,
@@ -82,10 +82,18 @@ def _resolve_mode(a1, depth: int, mode: str):
     if mode != FLOAT:
         try:
             a1d = to_dyadic(a1)
-            return EXACT, a1d, Dyadic(1) / abs(a1d)
+            rho = Dyadic(1) / abs(a1d)
         except (ExactnessError, TypeError):
             if mode == EXACT:
                 raise ExactnessError(f"a1={a1!r} does not admit exact construction")
+        else:
+            # rho = 2^-k; its powers rho^0 .. rho^(depth + 2) are the widest array built
+            if (depth + 3) * (depth + 2) * -rho.exp2 > MAX_EXACT_BITS:
+                raise ConstructionError(
+                    f"exact spiral too deep: depth {depth} with a1={float(a1)!r} needs an array of "
+                    f"{depth + 3} scalars on exponents 0 to {rho.exp2 * (depth + 2)}, over "
+                    f"MAX_EXACT_BITS = {MAX_EXACT_BITS} bits")
+            return EXACT, a1d, rho
     rho = 1.0 / abs(float(a1))
     if not _fits_doubles(rho, depth):
         deepest = 0

@@ -35,6 +35,16 @@ from .errors import ExactnessError
 
 NumberLike = Union["Dyadic", int, np.integer, float, Fraction]
 
+MAX_EXACT_BITS = 1 << 28
+"""Bound on the size of one exact array: its length times the spread of its
+nonzero scalars' exponents. A `DyadicArray` holds its mantissas on its lowest
+exponent, so a few scalars on far-apart exponents make huge ints. The JSON
+codec refuses a wider array (`serialize._check_range`), and the spiral
+builder a depth whose arrays would be wider. A depth-1600 spiral bundle
+needs at most 5.2e6 bits per array, and a spiral with a1 = -2 reaches the
+bound at depth 16,384 (its times array: 16,385 scalars on exponents 0 to
+-16,384)."""
+
 
 # --- the kernels: operands as (mantissa, exponent) parts ------------------------
 

@@ -197,20 +197,28 @@ def _merge(merged, *extras):
     """`merge_times` on time arrays of one mode's scalars. Exact times are ints
     on one exponent, so exact equality is int equality and nothing is hashed."""
     for e in extras:
-        if not len(e):
-            continue
-        i = np.searchsorted(merged, e)  # merged[i - 1] < e <= merged[i]
-        below = merged[np.maximum(i - 1, 0)]
-        above = merged[np.minimum(i, len(merged) - 1)]
-        e = e[~(_times_equal(below, e) | _times_equal(above, e))]
-        if np.any(_times_equal(e[:-1], e[1:])):
-            kept = [0]
-            for k in range(1, len(e)):  # of extras that are one breakpoint, the first wins
-                if not _times_equal(e[kept[-1]], e[k]):
-                    kept.append(k)
-            e = e[kept]
-        merged = np.sort(np.concatenate([merged, e]))
+        e = _joining(merged, e)
+        if len(e):
+            merged = np.sort(np.concatenate([merged, e]))
     return merged
+
+
+def _joining(merged, e):
+    """The times of e that `_merge` adds to the grid `merged`: those that are
+    not the same breakpoint as a time of `merged` or as the one before them."""
+    if not len(e):
+        return e
+    i = np.searchsorted(merged, e)  # merged[i - 1] < e <= merged[i]
+    below = merged[np.maximum(i - 1, 0)]
+    above = merged[np.minimum(i, len(merged) - 1)]
+    e = e[~(_times_equal(below, e) | _times_equal(above, e))]
+    if np.any(_times_equal(e[:-1], e[1:])):
+        kept = [0]
+        for k in range(1, len(e)):  # of extras that are one breakpoint, the first wins
+            if not _times_equal(e[kept[-1]], e[k]):
+                kept.append(k)
+        e = e[kept]
+    return e
 
 
 def _same(s, t) -> bool:

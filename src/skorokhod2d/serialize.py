@@ -58,19 +58,10 @@ import numpy as np
 
 from .classify import ReflectionMatrix2
 from .counterexample import CounterexampleBundle
-from .dyadic import Dyadic, DyadicArray, to_dyadic
+from .dyadic import MAX_EXACT_BITS, Dyadic, DyadicArray, to_dyadic
 from .errors import UsageError
 from .paths import EXACT, FLOAT, MonotoneDecomp, PLPath2
 from .verifier import SolutionTriple
-
-MAX_EXACT_BITS = 1 << 28
-"""Bound on the decoded size of one exact array: its length times the spread
-of its nonzero scalars' exponents. The array holds its mantissas on its lowest
-exponent, so a document of a few scalars on far-apart exponents would
-otherwise decode into huge ints. A depth-1600 spiral bundle needs at most
-5.2e6 bits per array, and a spiral with a1 = -2 reaches the bound at depth
-16,384 (its times array: 16,385 scalars on exponents 0 to -16,384). Part of
-the range of `_check_range`, so the encoder refuses such an array too."""
 
 
 def _check_range(m: list, e: list) -> None:

@@ -1,14 +1,15 @@
 """Numerical solvers: reflection-map Picard iteration and LCP time stepping.
 
 Both solvers work in float mode and share one event step, `_march`: it
-marches one grid segment with a constant active set per sub-step, and a
+marches grid segments with a constant active set per sub-step, and a
 sub-step ends at the exact time where a slack coordinate of g reaches zero.
 Its rates come from one support rule for the small complementarity problem,
 `_lcp2`, which runs as array code over all segments once per active pattern
-(`_Rates`), so a sub-step reads its segment's row. The grid solver chains
-the step over the segments. Where the active set has held for RUN_GATE
-segments, it advances the next ones as a run: array code that gives the same
-bits as the chain and hands the first segment with an event, a clip at 0 or
+(`_Rates`), so a sub-step reads its segment's row. The grid solver hands the
+grid to `_march`, which takes segment after segment in one loop until
+RUN_GATE segments in a row have each been one sub-step under one active set.
+The next segments then go as a run: array code that gives the same bits as
+the march and hands the first segment with an event, a clip at 0 or
 inadmissible rates back to `_march`. The fixed-point solver iterates the
 one-dimensional regulator map coordinate-wise (Gauss-Seidel sweeps, optional
 damping; an overflow raises `DivergenceError`) and then inserts the step's
@@ -36,7 +37,7 @@ import numpy as np
 
 from .classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
 from .errors import DivergenceError, StepInfeasibleError, UsageError
-from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _grid, _merge, with_times
+from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _grid, _joining, _merge, _regrid, with_times
 
 
 @dataclass
@@ -190,13 +191,15 @@ def solve_fixed_point(
             if before is not None:  # out of sweeps right after a jump
                 m, diff = before
             break
-        kinks = _kink_times(grid, fx.T, m.T, a1, a2, eps)
-        enriched = _merge(grid, kinks)
-        if len(enriched) == len(grid):
+        kinks = _joining(grid, _kink_times(grid, fx.T, m.T, a1, a2, eps))
+        if not len(kinks):
             break
-        fx = with_times(f, enriched).x.T.copy()
-        m = with_times(PLPath2._of(grid, m.T), enriched).x.T.copy()
-        grid = enriched
+        # `_regrid` reads a path pointwise, so the grid's points keep their
+        # values: f and m are read at the new kinks alone, and inserted
+        at = np.searchsorted(grid, kinks)
+        fx = np.insert(fx, at, _regrid(f, kinks).x.T, axis=1)
+        m = np.insert(m, at, _regrid(PLPath2._of(grid, m.T), kinks).x.T, axis=1)
+        grid = np.insert(grid, at, kinks)
 
     (f1, f2), (m1, m2) = fx, m
     g = np.column_stack([f1 + m1 + a1 * m2, f2 + a2 * m1 + m2])
@@ -294,56 +297,53 @@ class _Rates(dict):
 
 
 #: segments in a row that `_march` takes in one sub-step under one active set
-#: before `solve_grid` tries a run; on drivers whose active set changes every
-#: few segments, runs cost more than they save
+#: before `solve_grid` tries a run, and the length of the run's first window;
+#: on drivers whose active set changes every few segments, runs cost more
+#: than they save
 RUN_GATE = 16
 
 
 def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResult:
     """Time-marching solver for any completely-S matrix.
 
-    Chains the event step `_march` over the grid's segments, so the output
+    Marches the grid's segments with the event step `_march`, so the output
     is the PL solution with its true breakpoints (up to float rounding).
-    After RUN_GATE segments in a row of one sub-step under one active set,
-    the next segments go as a run (`_run`): array code that takes the
-    segments `_march` would take in one sub-step, with the same bits. The
-    run's window starts at the streak's length and doubles while every
-    segment in it is quiet, so the work stays linear; the first segment
-    that is not quiet goes back to `_march`.
+    `_march` takes segments in its own loop until RUN_GATE segments in a row
+    have each been one sub-step under one active set; the next segments then
+    go as a run (`_run`): array code that takes the segments `_march` would
+    take in one sub-step, with the same bits. The run's window starts at
+    RUN_GATE and doubles while every segment in it is quiet, so the work
+    stays linear; the first segment that is not quiet goes back to `_march`.
     """
     a1, a2, grid, x, eps = _set_up(R, f, cfg)
     if not is_completely_s(ReflectionMatrix2(a1, a2)):
         raise UsageError("grid solver requires a completely-S matrix")
     rates = _Rates(a1, a2, np.diff(x, axis=0) / np.diff(grid)[:, None])
     ts = grid.tolist()  # Python floats index faster in the marching loop
+    ends, n = ts[1:], len(ts) - 1
 
-    g1, g2 = max(float(x[0, 0]), 0.0), max(float(x[0, 1]), 0.0)
-    m1 = m2 = 0.0
-    rows = [(ts[0], g1, g2, m1, m2)]  # (t, g1, g2, m1, m2) per breakpoint
-    blocks = []  # rows and run blocks, in order
-    k = streak = 0
-    while k < len(ts) - 1:
-        active = (abs(g1) <= eps, abs(g2) <= eps)
-        if streak >= RUN_GATE:
-            hi = min(k + streak, len(ts) - 1)
+    # (t, g1, g2, m1, m2) per breakpoint: rows[0] is already in a block, and
+    # rows[-1] is the marching state
+    rows = [(ts[0], max(float(x[0, 0]), 0.0), max(float(x[0, 1]), 0.0), 0.0, 0.0)]
+    blocks = [_rows_array(rows)]
+    k = 0
+    while k < n:
+        k = _march(rates, eps, ends, rows, k, n)
+        window = RUN_GATE
+        while k < n:
+            _, g1, g2, m1, m2 = rows[-1]
+            active = (abs(g1) <= eps, abs(g2) <= eps)
+            hi = min(k + window, n)
             run = _run(rates[active], grid, eps, active, (g1, g2), (m1, m2), k, hi)
             if len(run):
-                blocks += [_rows_array(rows), run]
-                rows = []
-                g1, g2, m1, m2 = run[-1, 1:].tolist()
+                blocks += [_rows_array(rows)[1:], run]
+                rows = [tuple(run[-1].tolist())]
                 k += len(run)
-            streak = streak + len(run) if k == hi else 0
-            continue
-        steps = _march(rates, eps, g1, g2, ts[k], ts[k + 1], k, k)
-        for t, g1, g2, dm1, dm2 in steps:
-            m1 += dm1
-            m2 += dm2
-            rows.append((t, g1, g2, m1, m2))
-        held = len(steps) == 1 and (abs(g1) <= eps, abs(g2) <= eps) == active
-        streak = streak + 1 if held else 0
-        k += 1
+            if k < hi:
+                break
+            window *= 2
 
-    out = np.concatenate(blocks + [_rows_array(rows)])
+    out = np.concatenate(blocks + [_rows_array(rows)[1:]])
     return _result(out[:, 0], out[:, 1:3], out[:, 3:], len(out) - 1, True, 0.0)
 
 
@@ -385,38 +385,51 @@ def _run(table, grid, eps, active, g, m, lo, hi) -> np.ndarray:
     return rows[1:q + 1].copy() if stop[q] else rows[1:]
 
 
-def _march(rates: _Rates, eps, g1, g2, ta, tb, i, k) -> list:
-    """The event step: march grid segment k = [ta, tb] from g = (g1, g2) >= 0,
-    with its rates in row i of `rates`, as sub-steps (t, g1, g2, dm1, dm2)
-    ending at t, dm the regulator's increment over the sub-step.
+def _march(rates: _Rates, eps, ends, rows: list, k: int, hi: int) -> int:
+    """The event step: march segments k, k + 1, ... < hi from the state in
+    rows[-1] = (t, g1, g2, m1, m2), g >= 0, segment j ending at ends[j] with
+    its rates in row j of `rates`. Appends the row at the end of each
+    sub-step and returns the next segment: hi, or the one after RUN_GATE
+    segments in a row that were each one sub-step under one active set.
 
     Coordinates with |g_j| <= eps (eps = FLOAT_DEDUP * sup|f|, the
     `negligible` rule) are active and only they may push; the rates are the
-    row of the table for that active set, and a sub-step ends at tb or at the
-    first zero of a positive coordinate. `solve_grid` calls it on every
-    segment outside its runs; `_march_rows` takes the same sub-steps on many
-    segments at once, and tests pin the two to each other.
+    row of the table for that active set, and a sub-step ends at the
+    segment's end or at the first zero of a positive coordinate. m adds the
+    sub-step's regulator increments in order. `solve_grid` calls it between
+    its runs; `_march_rows` takes the same sub-steps on many segments at
+    once, and tests pin the two to each other.
     """
-    steps = []
-    t = ta
-    while t < tb:
-        if len(steps) == 1000:
-            raise StepInfeasibleError("event cascade did not terminate", k)
-        active = (abs(g1) <= eps, abs(g2) <= eps)
-        zw, ok = rates[active]
-        if not ok[i]:
-            raise StepInfeasibleError("no admissible rate support", k)
-        gr1, gr2, r1, r2 = zw[i].tolist()
-        tau = tb - t
-        if not active[0] and gr1 < 0:
-            tau = min(tau, g1 / -gr1)
-        if not active[1] and gr2 < 0:
-            tau = min(tau, g2 / -gr2)
-        t = tb if tau == tb - t else min(t + tau, tb)
-        g1 = max(g1 + tau * gr1, 0.0) if gr1 < 0 else g1 + tau * gr1
-        g2 = max(g2 + tau * gr2, 0.0) if gr2 < 0 else g2 + tau * gr2
-        steps.append((t, g1, g2, tau * r1, tau * r2))
-    return steps
+    t, g1, g2, m1, m2 = rows[-1]
+    active = (abs(g1) <= eps, abs(g2) <= eps)
+    quiet = 0
+    while k < hi:
+        tb, start, steps = ends[k], active, 0
+        while t < tb:
+            if steps == 1000:
+                raise StepInfeasibleError("event cascade did not terminate", k)
+            zw, ok = rates[active]
+            if not ok[k]:
+                raise StepInfeasibleError("no admissible rate support", k)
+            gr1, gr2, r1, r2 = zw[k].tolist()
+            tau = tb - t
+            if not active[0] and gr1 < 0:
+                tau = min(tau, g1 / -gr1)
+            if not active[1] and gr2 < 0:
+                tau = min(tau, g2 / -gr2)
+            t = tb if tau == tb - t else min(t + tau, tb)
+            g1 = max(g1 + tau * gr1, 0.0) if gr1 < 0 else g1 + tau * gr1
+            g2 = max(g2 + tau * gr2, 0.0) if gr2 < 0 else g2 + tau * gr2
+            m1 += tau * r1
+            m2 += tau * r2
+            rows.append((t, g1, g2, m1, m2))
+            steps += 1
+            active = (abs(g1) <= eps, abs(g2) <= eps)
+        k += 1
+        quiet = quiet + 1 if steps == 1 and active == start else 0
+        if quiet == RUN_GATE:
+            break
+    return k
 
 
 def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
@@ -463,5 +476,12 @@ def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
         inner = t < end
         times.append(t[inner])
         owners.append(rows[inner])
-    steps = [_march(rates, eps, *g[i].tolist(), ta[i], tb[i], i, int(k[i])) for i in range(len(k))]
-    return np.array([s[0] for row in steps for s in row[:-1]], dtype=float)
+    ends, kinks = tb.tolist(), []
+    for i, (start, g1, g2) in enumerate(zip(ta.tolist(), *g.T.tolist())):
+        steps = [(start, g1, g2, 0.0, 0.0)]
+        try:
+            _march(rates, eps, ends, steps, i, i + 1)
+        except StepInfeasibleError as e:  # row i marches grid segment k[i]
+            raise StepInfeasibleError(str(e), int(k[i])) from None
+        kinks += [step[0] for step in steps[1:-1]]
+    return np.array(kinks, dtype=float)

@@ -104,6 +104,18 @@ def test_counterexample_bad_depth_exits_2():
     assert run(["counterexample", "--a1", "-2", "--depth", "7"]) == 2
 
 
+@pytest.mark.parametrize("a1, depth", [("-2", 10**20), ("-2", 16384), ("-4", 11588), ("-1048576", 3664)])
+def test_counterexample_too_deep_for_exact_arrays_exits_2(tmp_path, capsys, a1, depth):
+    # refused before any array is built, naming the bound; -2 at 16,380 and
+    # -4 at 11,580 are the deepest that stay within it
+    svg = str(tmp_path / "x.svg")
+    for argv in (["counterexample", "--a1", a1, "--depth", str(depth), "--verify"],
+                 ["figure", "--a1", a1, "--depth", str(depth), "--out", svg]):
+        assert run(argv) == 2
+        assert f"MAX_EXACT_BITS = {serialize.MAX_EXACT_BITS} bits" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
     out = tmp_path / "bundle.json"
     assert run(["counterexample", "--a1", "-2", "--depth", "8", "--out", str(out)]) == 0

@@ -163,6 +163,17 @@ def test_float_spiral_that_fits_at_no_depth_is_refused():
         build_counterexample(-1e300, 4)
 
 
+@pytest.mark.parametrize("a1, depth", [(-2, 16384), (-2, 10**20), (-4, 11588), (-2**20, 3664)])
+def test_exact_spiral_wider_than_the_array_bound_is_refused(a1, depth):
+    # the powers of rho = 1/|a1| = 2^-k, rho^0 .. rho^(depth + 2), are the
+    # widest array: (depth + 3) * k * (depth + 2) bits at most MAX_EXACT_BITS
+    for build in (build_counterexample, build_u):
+        with pytest.raises(ConstructionError, match=f"exact spiral too deep: depth {depth} .* "
+                                                    f"over MAX_EXACT_BITS = {2**28} bits"):
+            build(a1, depth)
+    assert build_u(-(2**20), 12).mode == EXACT
+
+
 @pytest.mark.parametrize("options, message", [
     ({"coord_range": float("inf")}, "figure range must be finite and positive"),
     ({"size": 0}, "figure size must be >= 1"),

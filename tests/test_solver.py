@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skorokhod2d import solver
-from skorokhod2d.classify import CRITICAL_BAND, ReflectionMatrix2
+from skorokhod2d.classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
 from skorokhod2d.dyadic import Dyadic
 from skorokhod2d.errors import DivergenceError, StepInfeasibleError, UsageError
 from skorokhod2d.paths import EXACT, FLOAT, FLOAT_DEDUP, PLPath2, sup_distance, with_times
@@ -588,29 +588,26 @@ def test_lcp2_batch_equals_the_rule_row_by_row(a1, a2, pushable):
 
 
 def chained_march(R, f):
-    # the reference for solve_grid: `_march` on every segment in turn
+    # the reference for solve_grid: `_march` on one segment at a time
     eps = FLOAT_DEDUP * float(np.max(np.abs(f.x)))
     rates = _Rates(float(R.a1), float(R.a2), np.diff(f.x, axis=0) / np.diff(f.t)[:, None])
     ts = f.t.tolist()
-    g1, g2 = max(float(f.x[0, 0]), 0.0), max(float(f.x[0, 1]), 0.0)
-    m1 = m2 = 0.0
-    rows = [(ts[0], g1, g2, m1, m2)]
-    for k in range(len(ts) - 1):
-        for t, g1, g2, dm1, dm2 in _march(rates, eps, g1, g2, ts[k], ts[k + 1], k, k):
-            m1 += dm1
-            m2 += dm2
-            rows.append((t, g1, g2, m1, m2))
+    ends = ts[1:]
+    rows = [(ts[0], max(float(f.x[0, 0]), 0.0), max(float(f.x[0, 1]), 0.0), 0.0, 0.0)]
+    for k in range(len(ends)):
+        _march(rates, eps, ends, rows, k, k + 1)
     return np.array(rows)
 
 
 def assert_grid_solver_matches_march(R, f, monkeypatch=None):
     """solve_grid equals the chained march bit for bit; returns how many
-    segments solve_grid marched one by one."""
+    segments solve_grid's scalar march took one at a time."""
     marched = []
     if monkeypatch is not None:
-        def counting(*args):
-            marched.append(args[-1])
-            return _march(*args)
+        def counting(rates, eps, ends, rows, k, hi):
+            nxt = _march(rates, eps, ends, rows, k, hi)
+            marched.append(nxt - k)
+            return nxt
         monkeypatch.setattr(solver, "_march", counting)
     res = solve_grid(R, f, SolveConfig())
     ref = chained_march(R, f)
@@ -618,7 +615,7 @@ def assert_grid_solver_matches_march(R, f, monkeypatch=None):
     assert res.g.x.tobytes() == ref[:, 1:3].tobytes()
     assert res.m.x.tobytes() == ref[:, 3:].tobytes()
     assert res.iterations == len(ref) - 1
-    return len(marched)
+    return sum(marched)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -690,7 +687,7 @@ def test_run_stops_at_an_inadmissible_segment():
     assert len(run) == G + 3
     assert np.all(run[:, 1:3] == 0.0)
     with pytest.raises(StepInfeasibleError) as info:
-        _march(rates, 2.0**-40, 0.0, 0.0, grid[G + 3], grid[G + 4], G + 3, G + 3)
+        _march(rates, 2.0**-40, grid[1:].tolist(), [(grid[G + 3], 0.0, 0.0, 0.0, 0.0)], G + 3, G + 4)
     assert info.value.step_index == G + 3
 
 
@@ -704,17 +701,100 @@ def test_run_stops_where_a_slack_coordinate_reaches_zero_by_rounding():
     grid = np.array([0.0, dt])
     active = (False, False)
     assert len(_run(rates[active], grid, 2.0**-40, active, (g1, 1.0), (0.0, 0.0), 0, 1)) == 0
-    assert len(_march(rates, 2.0**-40, g1, 1.0, 0.0, dt, 0, 0)) == 2
+    rows = [(0.0, g1, 1.0, 0.0, 0.0)]
+    assert _march(rates, 2.0**-40, [dt], rows, 0, 1) == 1
+    assert len(rows) == 1 + 2
+
+
+#: quiet stretch lengths at and next to the ends of the march's streak (G)
+#: and of the first two run windows (G + G, G + 3G)
+near_windows = st.sampled_from([G, 2 * G, 4 * G]).flatmap(
+    lambda n: st.integers(min_value=n - 2, max_value=n + 2))
+slopes = st.floats(min_value=0.25, max_value=4.0)
+
+
+def completely_s_matrices():
+    rotational = st.floats(min_value=0.9, max_value=0.99).flatmap(
+        lambda r: st.sampled_from([(r, -r), (-r, r)]))
+    entries = st.floats(min_value=-3.0, max_value=3.0)
+    general = st.tuples(entries, entries).filter(lambda a: is_completely_s(ReflectionMatrix2(*a)))
+    return st.one_of(rotational, st.just((-1.0, 1.0)), general)
+
+
+@st.composite
+def reflected_drivers(draw):
+    # One coordinate is reflected at 0 and the other rises far above 0, so the
+    # first's g is its f plus its own regulator. Its quiet stretches (rising
+    # above 0, or pushed at 0) have lengths near the window ends, and each
+    # ends at a stop that `_run` checks: g reaching zero inside a segment,
+    # g leaving zero (a change of active set), or slopes within the support
+    # rule's slack, where every segment ends in the clip at 0. Unit time steps.
+    a1, a2 = draw(completely_s_matrices())
+    at_zero = draw(st.booleans())
+    start = 0.0 if at_zero else 1.0
+    steps = []  # None: a fall through zero, sized once g's largest value is known
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        n = draw(near_windows)
+        if not at_zero:
+            steps += [draw(slopes)] * n + [None]
+            at_zero = True
+            continue
+        steps += [-draw(slopes)] * n
+        if draw(st.booleans()):
+            steps.append(draw(slopes))
+            at_zero = False
+        else:
+            tiny = 2.0 ** -draw(st.integers(min_value=41, max_value=52))
+            steps += [-tiny] * draw(st.integers(min_value=1, max_value=G + 2))
+    top = start + sum(d for d in steps if d is not None and d > 0)  # bounds g
+    fall = -draw(st.floats(min_value=1.5, max_value=4.0)) * top
+    steps = [fall if d is None else d for d in steps]
+    pushed = -sum(d for d in steps if d < 0)  # bounds the regulator
+    far = 1.0 + 2.0 * max(1.0, abs(a1), abs(a2)) * pushed
+    x = np.column_stack([np.cumsum([start] + steps), far + np.arange(len(steps) + 1.0)])
+    if draw(st.booleans()):
+        x = x[:, ::-1]
+    return ReflectionMatrix2(a1, a2), PLPath2(np.arange(len(steps) + 1.0), x, FLOAT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reflected_drivers())
+def test_grid_runs_match_the_march_on_drawn_stretches(case):
+    assert_grid_solver_matches_march(*case)
+
+
+@settings(max_examples=20, deadline=None)
+@given(near_windows, slopes, slopes, st.integers(min_value=0, max_value=3))
+def test_grid_runs_stop_at_inadmissible_rates_where_the_march_raises(n, s, r, after):
+    # R = (-1, -2) is not completely-S, so solve_grid refuses it unless the
+    # check is lifted: both coordinates stay at 0 under the slope (-s, 2s),
+    # and the slope (-r, -r) at segment n has no admissible support
+    x = np.cumsum([(0.0, 0.0)] + [(-s, 2 * s)] * n + [(-r, -r)] + [(1.0, 1.0)] * after, axis=0)
+    f = PLPath2(np.arange(len(x), dtype=float), x, FLOAT)
+    R = ReflectionMatrix2(-1.0, -2.0)
+    with pytest.raises(StepInfeasibleError) as ref:
+        chained_march(R, f)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(StepInfeasibleError) as got:
+        mp.setattr(solver, "is_completely_s", lambda R: True)
+        solve_grid(R, f, SolveConfig())
+    assert str(got.value) == str(ref.value) == "no admissible rate support"
+    assert got.value.step_index == ref.value.step_index == n
 
 
 # --- the batched kink march against the per-row march -------------------------
 
 
 def march_row_by_row(rates, eps, g, ta, tb, k):
-    # the reference for `_march_rows`: `_march` on each row in turn
-    kinks = []
-    for i, (ki, a, b, (g1, g2)) in enumerate(zip(k.tolist(), ta.tolist(), tb.tolist(), g.tolist())):
-        kinks += [step[0] for step in _march(rates, eps, g1, g2, a, b, i, ki)[:-1]]
+    # the reference for `_march_rows`: `_march` on each row in turn; an error
+    # names the row's grid segment k[i]
+    kinks, ends = [], tb.tolist()
+    for i, (ki, a, (g1, g2)) in enumerate(zip(k.tolist(), ta.tolist(), g.tolist())):
+        rows = [(a, g1, g2, 0.0, 0.0)]
+        try:
+            _march(rates, eps, ends, rows, i, i + 1)
+        except StepInfeasibleError as e:
+            raise StepInfeasibleError(str(e), ki) from None
+        kinks += [row[0] for row in rows[1:-1]]
     return np.array(kinks, dtype=float)
 
 
