@@ -8,22 +8,26 @@ Its rates come from one support rule for the small complementarity problem,
 (`_Rates`), so a sub-step reads its segment's row. The grid solver hands the
 grid to `_march`, which takes segment after segment in one loop until
 RUN_GATE segments in a row have each been one sub-step under one active set.
-The next segments then go as a run: array code that gives the same bits as
-the march and hands the first segment with an event, a clip at 0 or
-inadmissible rates back to `_march`. The fixed-point solver iterates the
-one-dimensional regulator map coordinate-wise (Gauss-Seidel sweeps, optional
-damping; an overflow raises `DivergenceError`) and then inserts the step's
-event times as kinks into the grid, so the converged output is piecewise
-linear through the true solution's breakpoints. The segments it examines do
-not depend on one another, so one batched march, `_march_rows`, takes their
-sub-steps together as array code, with the bits of `_march` row by row.
-Near the fixed point the active sets freeze, the sweep is affine and its
-error shrinks by one rate per sweep, about |a1*a2| under a rotational
-matrix; once two successive rate estimates agree, the iteration jumps to the
-limit of that geometric series (Aitken's extrapolation). A jump after which
-the next sweep moves m more than the one before it is undone, and the round
-sweeps plainly on. Both solvers start from one set-up (`_set_up`) and return
-g and m on one time array (`_result`).
+The next segments then go as a run, `_run`: array code that gives the same
+bits as the march and hands the first segment with an event, a clip at 0 or
+inadmissible rates back to `_march`. A run tests its whole window only for a
+clip and a change of active set, since an event inside a segment lands that
+segment's sum at 0 or below; the event itself is tested on one segment. The
+fixed-point solver iterates the one-dimensional regulator map
+coordinate-wise (Gauss-Seidel sweeps, optional damping; an overflow raises
+`DivergenceError`) and then inserts the step's event times as kinks into the
+grid, so the converged output is piecewise linear through the true
+solution's breakpoints. The segments it examines do not depend on one
+another, so one batched march, `_march_rows`, takes their sub-steps together
+as array code, with the bits of `_march` row by row; `_kink_times` picks
+them on the sweeps' (2, n) rows. Near the fixed point the active sets
+freeze, the sweep is affine and its error shrinks by one rate per sweep,
+about |a1*a2| under a rotational matrix; once two successive rate
+estimates agree, the iteration jumps to the limit of that geometric series
+(Aitken's extrapolation). A jump after which the next sweep moves m more
+than the one before it is undone, and the round sweeps plainly on. Both
+solvers start from one set-up (`_set_up`) and return g and m on one time
+array (`_result`).
 """
 
 from __future__ import annotations
@@ -139,6 +143,8 @@ def solve_fixed_point(
     m1, m2 = (np.asarray(m, dtype=float) for m in init)
     if len(m1) != len(grid) or len(m2) != len(grid):
         raise UsageError("init arrays must match the grid length")
+    if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
+        raise UsageError("init arrays must be finite")
     m = np.array([m1, m2])  # rows m1, m2
 
     total_iters = 0
@@ -191,7 +197,7 @@ def solve_fixed_point(
             if before is not None:  # out of sweeps right after a jump
                 m, diff = before
             break
-        kinks = _joining(grid, _kink_times(grid, fx.T, m.T, a1, a2, eps))
+        kinks = _joining(grid, _kink_times(grid, fx, m, a1, a2, eps))
         if not len(kinks):
             break
         # `_regrid` reads a path pointwise, so the grid's points keep their
@@ -209,11 +215,13 @@ def solve_fixed_point(
 def _kink_times(grid, f, m, a1, a2, eps) -> np.ndarray:
     """Interior event times of `_march`, ascending, on each segment where a
     positive coordinate of g starts with its regulator rising: one batched
-    march (`_march_rows`) over all of those segments."""
-    g = f + np.column_stack([m[:, 0] + a1 * m[:, 1], a2 * m[:, 0] + m[:, 1]])
-    k = np.nonzero(np.any((g[:-1] > eps) & (np.diff(m, axis=0) > 0), axis=1))[0]
-    rates = _Rates(a1, a2, (f[k + 1] - f[k]) / (grid[k + 1] - grid[k])[:, None])
-    return _march_rows(rates, eps, np.maximum(g[k], 0.0), grid[k], grid[k + 1], k)
+    march (`_march_rows`) over all of those segments. f and m are the
+    sweeps' (2, n) rows, and g is built row by row on them."""
+    g = np.array([f[0] + (m[0] + a1 * m[1]), f[1] + (a2 * m[0] + m[1])])
+    rising = (g[:, :-1] > eps) & (m[:, 1:] > m[:, :-1])
+    k = np.flatnonzero(rising[0] | rising[1])
+    rates = _Rates(a1, a2, ((f[:, k + 1] - f[:, k]) / (grid[k + 1] - grid[k])).T)
+    return _march_rows(rates, eps, np.maximum(g[:, k], 0.0).T, grid[k], grid[k + 1], k)
 
 
 # --- discrete complementarity stepping ---------------------------------------
@@ -281,10 +289,10 @@ def lcp_step(
 
 
 class _Rates(dict):
-    """Active pattern -> (zw, ok): `_lcp2` on the driving slopes of every
+    """Active pattern -> (zw, bad): `_lcp2` on the driving slopes of every
     segment with the pattern's coordinates pushable, built on first use. Row
     k of zw is (gr1, gr2, r1, r2), the rates of g and of m on segment k, and
-    ok[k] is False where no support is admissible."""
+    bad[k] is True where no support is admissible."""
 
     def __init__(self, a1: float, a2: float, slopes: np.ndarray):
         super().__init__()
@@ -292,15 +300,16 @@ class _Rates(dict):
 
     def __missing__(self, active):
         z, w, ok = _lcp2(self.a1, self.a2, self.slopes[:, 0], self.slopes[:, 1], active)
-        table = self[active] = (np.hstack([w, z]), ok)
+        table = self[active] = (np.hstack([w, z]), ~ok)
         return table
 
 
 #: segments in a row that `_march` takes in one sub-step under one active set
 #: before `solve_grid` tries a run, and the length of the run's first window;
 #: on drivers whose active set changes every few segments, runs cost more
-#: than they save
-RUN_GATE = 16
+#: than they save. Gates of 24 to 48 time alike on the benchmark decks, about
+#: 2% faster than 16 on `near-critical`; 32 makes half the windows of 16.
+RUN_GATE = 32
 
 
 def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResult:
@@ -318,7 +327,8 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
     a1, a2, grid, x, eps = _set_up(R, f, cfg)
     if not is_completely_s(ReflectionMatrix2(a1, a2)):
         raise UsageError("grid solver requires a completely-S matrix")
-    rates = _Rates(a1, a2, np.diff(x, axis=0) / np.diff(grid)[:, None])
+    dt = np.diff(grid)
+    rates = _Rates(a1, a2, np.diff(x, axis=0) / dt[:, None])
     ts = grid.tolist()  # Python floats index faster in the marching loop
     ends, n = ts[1:], len(ts) - 1
 
@@ -334,7 +344,7 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
             _, g1, g2, m1, m2 = rows[-1]
             active = (abs(g1) <= eps, abs(g2) <= eps)
             hi = min(k + window, n)
-            run = _run(rates[active], grid, eps, active, (g1, g2), (m1, m2), k, hi)
+            run = _run(rates[active], grid, dt, eps, active, (g1, g2, m1, m2), k, hi)
             if len(run):
                 blocks += [_rows_array(rows)[1:], run]
                 rows = [tuple(run[-1].tolist())]
@@ -353,36 +363,47 @@ def _rows_array(rows: list) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), float, 5 * len(rows)).reshape(-1, 5)
 
 
-def _run(table, grid, eps, active, g, m, lo, hi) -> np.ndarray:
+def _run(table, grid, dt, eps, active, state, lo, hi) -> np.ndarray:
     """Rows (t, g1, g2, m1, m2) at the ends of segments lo, lo + 1, ... < hi
-    from the state g, m at grid[lo], up to the first segment that `_march`
-    would not take in one quiet sub-step under `active`: its active set
-    differs, its rates are inadmissible, a slack coordinate reaches zero in
-    it, or the clip at 0 applies. g and m are the `np.cumsum` of the
-    sub-steps' increments, which adds in order like `_march`'s chain: one
-    product with the table's rows and one sum, in place in the array that
-    holds the rows, so a call costs a few array operations at any length.
+    from the state (g1, g2, m1, m2) at grid[lo], up to the first segment that
+    `_march` would not take in one quiet sub-step under `active`: its rates
+    are inadmissible, its active set differs, the clip at 0 applies, or a
+    slack coordinate reaches zero in it. dt holds the grid's segment lengths.
+    g and m are the `np.cumsum` of the sub-steps' increments, which adds in
+    order like `_march`'s chain, in place in the array that holds the rows.
+
+    Every g before the first stop is >= 0, so a clip is g < 0 at a segment's
+    end and a change of active set is g <= eps at a segment's start compared
+    with `active`: two tests on the whole window. A slack coordinate that
+    `_march` sees reach zero within dt (g / -w < dt) ends its segment at
+    g <= 0 (the quotient below dt means dt * -w > g exactly, so its rounding
+    is >= g), and the next segment starts active. So a reach can only be the
+    segment just before the first other stop, and it is tested there alone,
+    with `_march`'s Python floats.
     """
-    zw, ok = table
+    zw, bad = table
     n = hi - lo
     rows = np.empty((n + 1, 5))
-    t, x = rows[:, 0], rows[:, 1:]
-    t[:] = grid[lo:hi + 1]
-    dt = t[1:] - t[:-1]
-    x[0] = (*g, *m)
-    np.multiply(zw[lo:hi], dt[:, None], out=x[1:])
+    rows[:, 0] = grid[lo:hi + 1]
+    x = rows[:, 1:]
+    x[0] = state
+    np.multiply(zw[lo:hi], dt[lo:hi, None], out=x[1:])
     np.add.accumulate(x, out=x)  # np.cumsum, in place
-    start, w = x[:-1, :2], zw[lo:hi, :2]
-    active = np.array(active)
-    with np.errstate(all="ignore"):  # the quotient counts only where g falls
-        short = ~((start / -w >= dt[:, None]) | active)  # reaches 0 within dt
-    short |= x[1:, :2] < 0  # the clip at 0
-    stop = (w < 0) & short
-    stop |= (np.abs(start) <= eps) != active
-    stop = stop[:, 0] | stop[:, 1] | ~ok[lo:hi]
-    q = int(np.argmax(stop))
+    stop = x[1:, :2] < 0  # the clip at 0
+    stop |= (x[:-1, :2] <= eps) != active  # a change of active set
+    stop = stop[:, 0] | stop[:, 1]
+    stop |= bad[lo:hi]
+    q = int(stop.argmax())
+    if not stop[q]:
+        q = n
+    if q:  # segment q - 1's reach: only an inactive, falling coordinate has one
+        j = q - 1
+        (g1, g2), (w1, w2), d = x[j, :2].tolist(), zw[lo + j, :2].tolist(), dt[lo + j].item()
+        if (not active[0] and w1 < 0 and not g1 / -w1 >= d
+                or not active[1] and w2 < 0 and not g2 / -w2 >= d):
+            q = j
     # a run cut short keeps a copy, so no block holds the window's unused rows
-    return rows[1:q + 1].copy() if stop[q] else rows[1:]
+    return rows[1:q + 1].copy() if q < n else rows[1:]
 
 
 def _march(rates: _Rates, eps, ends, rows: list, k: int, hi: int) -> int:
@@ -408,8 +429,8 @@ def _march(rates: _Rates, eps, ends, rows: list, k: int, hi: int) -> int:
         while t < tb:
             if steps == 1000:
                 raise StepInfeasibleError("event cascade did not terminate", k)
-            zw, ok = rates[active]
-            if not ok[k]:
+            zw, bad = rates[active]
+            if bad[k]:
                 raise StepInfeasibleError("no admissible rate support", k)
             gr1, gr2, r1, r2 = zw[k].tolist()
             tau = tb - t
@@ -456,12 +477,12 @@ def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
         active = np.abs(x) <= eps
         pattern = active[:, 0] + 2 * active[:, 1]
         zw = np.empty((len(rows), 4))
-        ok = np.empty(len(rows), dtype=bool)
+        bad = np.empty(len(rows), dtype=bool)
         for p in np.flatnonzero(np.bincount(pattern, minlength=4)).tolist():
             sel = pattern == p
-            table, good = rates[(bool(p & 1), bool(p & 2))]
-            zw[sel], ok[sel] = table[rows[sel]], good[rows[sel]]
-        if not ok.all():
+            table, stuck = rates[(bool(p & 1), bool(p & 2))]
+            zw[sel], bad[sel] = table[rows[sel]], stuck[rows[sel]]
+        if bad.any():
             break
         gr = zw[:, :2]
         tau = end - t

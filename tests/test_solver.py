@@ -215,6 +215,20 @@ def test_input_validation():
                    float_path([0, 1], [(0, 0), (1, 1)]), SolveConfig())
 
 
+@pytest.mark.parametrize("coord", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_point_refuses_a_non_finite_init_before_any_sweep(bad, coord, monkeypatch):
+    # a NaN init would sweep to max_iter and fail in the result's path, an
+    # infinite one overflow in the first sweep
+    ts = np.linspace(0.0, 1.0, 1001)
+    f = PLPath2(ts, np.column_stack([1.0 + ts, 1.0 - 0.5 * ts]), FLOAT)
+    init = [np.zeros(1001), np.zeros(1001)]
+    init[coord][500] = bad
+    monkeypatch.setattr(solver, "skorokhod_1d", lambda h: pytest.fail("a sweep ran"))
+    with pytest.raises(UsageError, match="init arrays must be finite"):
+        solve_fixed_point(ReflectionMatrix2(0.5, -0.5), f, SolveConfig(), init=tuple(init))
+
+
 def test_lcp_step_no_push_needed():
     g, dm = lcp_step(IDENTITY, (1.0, 2.0), (0.5, -1.0))
     assert dm == (0.0, 0.0)
@@ -648,14 +662,30 @@ def quiet_path(n, events):
 G = RUN_GATE
 
 
+# The ids are fixed strings: the names these cases had when RUN_GATE was 16
+# (n, then the case's index), kept so that retuning the gate renames no test.
 @pytest.mark.parametrize("n, events", [
-    (1, []), (1, [0]),                       # one segment
-    (8 * G, []), (G, []), (2 * G, []),       # no event, ending at a window end
-    (8 * G, [0]), (8 * G, [8 * G - 1]),      # first and last segment
-    (8 * G, [G - 1]), (8 * G, [G]), (8 * G, [G + 1]),          # at the gate
-    (8 * G, [2 * G - 1]), (8 * G, [2 * G]),                    # window ends
-    (8 * G, [4 * G - 1]), (8 * G, [4 * G]),
-    (8 * G, [G, 2 * G + 1, 3 * G + 2]),                         # a new streak
+    # one segment
+    pytest.param(1, [], id="1-events0"),
+    pytest.param(1, [0], id="1-events1"),
+    # no event, ending at a window end
+    pytest.param(8 * G, [], id="128-events2"),
+    pytest.param(G, [], id="16-events3"),
+    pytest.param(2 * G, [], id="32-events4"),
+    # first and last segment
+    pytest.param(8 * G, [0], id="128-events5"),
+    pytest.param(8 * G, [8 * G - 1], id="128-events6"),
+    # at the gate
+    pytest.param(8 * G, [G - 1], id="128-events7"),
+    pytest.param(8 * G, [G], id="128-events8"),
+    pytest.param(8 * G, [G + 1], id="128-events9"),
+    # window ends
+    pytest.param(8 * G, [2 * G - 1], id="128-events10"),
+    pytest.param(8 * G, [2 * G], id="128-events11"),
+    pytest.param(8 * G, [4 * G - 1], id="128-events12"),
+    pytest.param(8 * G, [4 * G], id="128-events13"),
+    # a new streak
+    pytest.param(8 * G, [G, 2 * G + 1, 3 * G + 2], id="128-events14"),
 ])
 def test_grid_runs_match_the_march_at_gate_and_window_boundaries(n, events, monkeypatch):
     R = ReflectionMatrix2(0.3, -0.4)
@@ -683,7 +713,7 @@ def test_run_stops_at_an_inadmissible_segment():
     rates = _Rates(-1.0, -2.0, slopes)
     grid = np.arange(4 * G + 1) / 64
     active = (True, True)
-    run = _run(rates[active], grid, 2.0**-40, active, (0.0, 0.0), (0.0, 0.0), 0, 4 * G)
+    run = _run(rates[active], grid, np.diff(grid), 2.0**-40, active, (0.0,) * 4, 0, 4 * G)
     assert len(run) == G + 3
     assert np.all(run[:, 1:3] == 0.0)
     with pytest.raises(StepInfeasibleError) as info:
@@ -700,10 +730,101 @@ def test_run_stops_where_a_slack_coordinate_reaches_zero_by_rounding():
     rates = _Rates(0.3, -0.4, np.array([[s1, 1.0]]))
     grid = np.array([0.0, dt])
     active = (False, False)
-    assert len(_run(rates[active], grid, 2.0**-40, active, (g1, 1.0), (0.0, 0.0), 0, 1)) == 0
+    assert len(_run(rates[active], grid, np.diff(grid), 2.0**-40, active, (g1, 1.0, 0.0, 0.0), 0, 1)) == 0
     rows = [(0.0, g1, 1.0, 0.0, 0.0)]
     assert _march(rates, 2.0**-40, [dt], rows, 0, 1) == 1
     assert len(rows) == 1 + 2
+
+
+def quiet_march(rates, grid, eps, state, lo, hi):
+    # the reference for `_run`: `_march` one segment at a time from `state`
+    # at grid[lo], while a segment starts under the window's active set and
+    # `_march` takes it in one sub-step, with admissible rates and no clip
+    ends, dt = grid[1:].tolist(), np.diff(grid).tolist()
+    active = (abs(state[0]) <= eps, abs(state[1]) <= eps)
+    zw = rates[active][0]
+    rows = [(grid[lo].item(), *state)]
+    for k in range(lo, hi):
+        _, g1, g2, _, _ = rows[-1]
+        if (abs(g1) <= eps, abs(g2) <= eps) != active:
+            break
+        try:
+            _march(rates, eps, ends, rows, k, k + 1)
+        except StepInfeasibleError:
+            break
+        gr1, gr2 = zw[k, :2].tolist()
+        if len(rows) != k - lo + 2 or rows[-1][1:3] != (g1 + dt[k] * gr1, g2 + dt[k] * gr2):
+            del rows[k - lo + 1:]
+            break
+    return np.array(rows[1:]).reshape(-1, 5)
+
+
+def eighths(special=None):
+    # 24 segments of length 1/8; segment 10 is [0, special] if given
+    if special is None:
+        return np.arange(25) * 0.125
+    return np.concatenate([np.arange(-10, 1) * 0.125, special + np.arange(14) * 0.125])
+
+
+SUBNORMAL = -5e-324  # g / -w overflows: a reach far beyond the segment
+REACH_BY_ROUNDING = (0.5082638177642645, -0.9452916619330787)  # see the test above
+CLIP_WITHOUT_REACH = tuple(map(float.fromhex, ("0x1.6f8f1c5f2bc20p+0", "-0x1.61ab7f167bc6bp+0",
+                                               "0x1.0a0db10f0aebbp+0")))
+P, Q = (0.3, -0.4), (-1.0, -2.0)  # Q is not completely-S
+
+
+def window_cases():
+    # (R, state g, slope of every segment, {segment: slope}, grid, lo, hi,
+    # the run's length): slack coordinates are > eps, pushed ones at 0
+    g, w = REACH_BY_ROUNDING
+    reach_dt = np.nextafter(g / -w, np.inf)
+    cg, cw, cdt = CLIP_WITHOUT_REACH
+    cases = {
+        "slack-slack": (P, (1.0, 2.0), (0.5, 0.25), {}, None, 0, 24, 24),
+        "slack-slack-reach": (P, (1.0, 2.0), (0.5, 0.25), {10: (-1000.0, 0.25)}, None, 0, 24, 10),
+        # g1 lands on 0 at the end of segment 10 with no reach: segment 11
+        # starts under another active set
+        "slack-slack-lands-on-zero": (P, (1.0, 2.0), (0.0, 0.25), {10: (-8.0, 0.25)}, None, 0, 24, 11),
+        # g1 lands on eps = 2^-40, which counts as active
+        "slack-slack-lands-on-eps": (P, (2.0**-39, 2.0), (0.0, 0.25), {10: (-(2.0**-37), 0.25)},
+                                     None, 0, 24, 11),
+        "slack-slack-reach-by-rounding": (P, (g, 2.0), (0.0, 0.25), {10: (w, 0.25)}, reach_dt, 0, 24, 10),
+        "slack-slack-clip-without-reach": (P, (cg, 2.0), (0.0, 0.25), {10: (cw, 0.25)}, cdt, 0, 24, 10),
+        "pushed-slack": (P, (0.0, 2.0), (-1.0, 0.5), {}, None, 0, 24, 24),
+        "pushed-slack-leaves-zero": (P, (0.0, 2.0), (-1.0, 0.5), {10: (1.0, 0.5)}, None, 0, 24, 11),
+        "pushed-slack-rises-to-eps": (P, (0.0, 2.0), (-1.0, 0.5), {10: (2.0**-37, 0.5)}, None, 0, 24, 24),
+        "pushed-slack-reach": (P, (0.0, 2.0), (-1.0, 0.5), {10: (-1.0, -1000.0)}, None, 0, 24, 10),
+        # a rate within the support rule's slack: nothing pushes, and g1 clips
+        "pushed-slack-clip": (P, (0.0, 2.0), (-1.0, 0.5), {10: (-(2.0**-43), 0.5)}, None, 0, 24, 10),
+        "slack-pushed": (P, (2.0, 0.0), (0.5, -1.0), {}, None, 0, 24, 24),
+        "slack-pushed-leaves-zero": (P, (2.0, 0.0), (0.5, -1.0), {10: (0.5, 1.0)}, None, 0, 24, 11),
+        "slack-pushed-reach": (P, (2.0, 0.0), (0.5, -1.0), {10: (-1000.0, -1.0)}, None, 0, 24, 10),
+        "pushed-pushed": (P, (0.0, 0.0), (-1.0, -1.0), {}, None, 0, 24, 24),
+        "pushed-pushed-leave-zero": (P, (0.0, 0.0), (-1.0, -1.0), {10: (1.0, 1.0)}, None, 0, 24, 11),
+        # the slope (-1, -1) under Q has no admissible support at (0, 0)
+        "pushed-pushed-inadmissible": (Q, (0.0, 0.0), (-1.0, 2.0), {10: (-1.0, -1.0)}, None, 0, 24, 10),
+        "inadmissible-first-row": (Q, (0.0, 0.0), (-1.0, 2.0), {10: (-1.0, -1.0)}, None, 10, 24, 0),
+        "window-inside-the-grid": (P, (1.0, 2.0), (0.5, 0.25), {20: (-1000.0, 0.25)}, None, 3, 18, 15),
+    }
+    for s in (0.0, -0.0, SUBNORMAL):
+        cases[f"slack-slope-{s!r}"] = (P, (1.0, 2.0), (s, 0.25), {}, None, 0, 24, 24)
+        cases[f"pushed-slack-slope-{s!r}"] = (P, (0.0, 2.0), (0.0, s), {}, None, 0, 24, 24)
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("R, g, slope, at, special, lo, hi, length", window_cases())
+def test_run_is_the_march_segment_by_segment(R, g, slope, at, special, lo, hi, length):
+    slopes = np.tile(slope, (24, 1))
+    for k, s in at.items():
+        slopes[k] = s
+    rates, grid, eps = _Rates(*R, slopes), eighths(special), 2.0**-40
+    state = (*g, 0.0, 0.0)
+    active = (abs(g[0]) <= eps, abs(g[1]) <= eps)
+    run = _run(rates[active], grid, np.diff(grid), eps, active, state, lo, hi)
+    ref = quiet_march(rates, grid, eps, state, lo, hi)
+    assert run.shape == ref.shape == (length, 5)
+    assert run.tobytes() == ref.tobytes()
 
 
 #: quiet stretch lengths at and next to the ends of the march's streak (G)
@@ -799,7 +920,9 @@ def march_row_by_row(rates, eps, g, ta, tb, k):
 
 
 def kink_times_row_by_row(grid, f, m, a1, a2, eps):
-    # the reference for `_kink_times`: its segments, marched one by one
+    # the reference for `_kink_times`: its segments, marched one by one; f and
+    # m come as the sweeps' (2, n) rows
+    f, m = f.T, m.T
     g = f + np.column_stack([m[:, 0] + a1 * m[:, 1], a2 * m[:, 0] + m[:, 1]])
     k = np.nonzero(np.any((g[:-1] > eps) & (np.diff(m, axis=0) > 0), axis=1))[0]
     rates = _Rates(a1, a2, (f[k + 1] - f[k]) / (grid[k + 1] - grid[k])[:, None])
