@@ -1,13 +1,16 @@
 """Numerical solvers: reflection-map Picard iteration and LCP time stepping.
 
 Both solvers work in float mode and share one event step, `_march`: it
-marches grid segments with a constant active set per sub-step, and a
-sub-step ends at the exact time where a slack coordinate of g reaches zero.
-Its rates come from one support rule for the small complementarity problem,
-`_lcp2`, which runs as array code over all segments once per active pattern
-(`_Rates`), so a sub-step reads its segment's row. The grid solver hands the
-grid to `_march`, which takes segment after segment in one loop until
-RUN_GATE segments in a row have each been one sub-step under one active set.
+marches grid segments with a constant active set per sub-step (g_j <= eps
+is active; g is never negative there), and a sub-step ends at the exact
+time where a slack coordinate of g reaches zero. Its rates come from one
+support rule for the small complementarity problem, `_lcp2`, which runs as
+array code over all segments once per active pattern (`_Rates`) and tests
+only the supports that the pattern allows, so a sub-step reads its
+segment's row of the table, looked up when the active set changes. The
+grid solver hands the grid to `_march`, which takes segment after segment
+in one loop until RUN_GATE segments in a row have each been one sub-step
+under one active set.
 The next segments then go as a run, `_run`: array code that gives the same
 bits as the march and hands the first segment with an event, a clip at 0 or
 inadmissible rates back to `_march`. A run tests its whole window only for a
@@ -33,6 +36,7 @@ array (`_result`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -54,6 +58,8 @@ class SolveConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise UsageError("tol must be positive")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise UsageError(f"max_iter must be an integer, not {self.max_iter!r}")
         if self.max_iter < 1:
             raise UsageError("max_iter must be >= 1")
         if not 0 < self.damping <= 1:
@@ -234,37 +240,62 @@ def _lcp2(a1: float, a2: float, q1: np.ndarray, q2: np.ndarray, pushable):
     Only pushable coordinates may enter the support, and only they need
     w_j >= 0; the others keep z_j = 0 and an unconstrained w_j. Admissibility
     allows FLOAT_DEDUP * max(|q1|, |q2|) of slack. Ties break to the smallest
-    support, then the lexicographically smallest z. Returns (z, w, ok), z and
-    w of shape (n, 2) with z clipped at 0, and ok False where no support is
-    admissible.
+    support, then the lexicographically smallest z. Returns (zw, ok): row k
+    of the (n, 4) array zw is (w1, w2, z1, z2) with z clipped at 0, and ok
+    is False, with zw = 0, where no support is admissible.
+
+    Each row takes the first admissible support in the order {}, {j},
+    {1, 2}, as masks over the rows, and only the pattern's own candidates
+    are evaluated: with nothing pushable w = q, and the full support is
+    solved only on the rows where no smaller one is admissible. Two supports
+    of one size are only {1} and {2} (both admissible under a matrix that is
+    not P), so the tie rule runs only with both pushable.
     """
-    zero = np.zeros_like(q1)
-    candidates = [(0, (zero, zero), (q1, q2))]
-    if pushable[0]:
-        candidates.append((1, (-q1, zero), (zero, q2 + a2 * -q1)))
-    if pushable[1]:
-        candidates.append((1, (zero, -q2), (q1 + a1 * -q2, zero)))
-    det = 1.0 - a1 * a2
-    # a1*a2 within the critical band of 1: the full support is singular
-    if pushable[0] and pushable[1] and abs(det) > CRITICAL_BAND:
-        z = ((-q1 + a1 * q2) / det, (-q2 + a2 * q1) / det)
-        candidates.append((2, z, (zero, zero)))
-    floor = -FLOAT_DEDUP * np.maximum(np.abs(q1), np.abs(q2))
-    ok = np.zeros(len(q1), dtype=bool)
-    size, z1, z2, w1, w2 = 0, zero, zero, zero, zero
-    for n, (c1, c2), (v1, v2) in candidates:  # by support size
-        admissible = (c1 >= floor) & (c2 >= floor)
-        for p, v in zip(pushable, (v1, v2)):
-            if p:
-                admissible &= v >= floor
-        smaller = (n == size) & ((c1 < z1) | (c1 == z1) & (c2 < z2))
-        take = admissible & (~ok | smaller)
-        size = np.where(take, n, size)
-        z1, z2, w1, w2 = (np.where(take, c, b) for c, b in
-                          ((c1, z1), (c2, z2), (v1, w1), (v2, w2)))
-        ok |= take
-    z = np.column_stack([z1, z2])
-    return np.where(z < 0.0, 0.0, z), np.column_stack([w1, w2]), ok
+    zw = np.zeros((len(q1), 4))
+    if not (pushable[0] or pushable[1]):
+        zw[:, 0], zw[:, 1] = q1, q2
+        ok = ~(np.isnan(q1) | np.isnan(q2))  # the slack is a number
+    elif not (pushable[0] and pushable[1]):
+        # one pushable coordinate j: {j} where {}, which needs q_j within the
+        # slack, is not admissible; then z_j = -q_j > 0, so no clip applies
+        j = 0 if pushable[0] else 1
+        (qj, qi), a = ((q1, q2), a2) if j == 0 else ((q2, q1), a1)
+        floor = -FLOAT_DEDUP * np.maximum(np.abs(q1), np.abs(q2))
+        push, zj = ~(qj >= floor), -qj
+        ok = ~push | (zj >= floor)
+        zw[:, j] = np.where(push, 0.0, qj)
+        zw[:, 1 - j] = np.where(push, qi + a * zj, qi)
+        zw[:, 2 + j] = np.where(push, zj, 0.0)
+    else:
+        floor = -FLOAT_DEDUP * np.maximum(np.abs(q1), np.abs(q2))
+        z1, z2 = -q1, -q2  # z of {1} and of {2}
+        v2, v1 = q2 + a2 * z1, q1 + a1 * z2  # w2 of {1} and w1 of {2}
+        none = (q1 >= floor) & (q2 >= floor)
+        one = ~none & (z1 >= floor) & (v2 >= floor)
+        two = (z2 >= floor) & (v1 >= floor)
+        # {2} where neither {} nor {1} is admissible, or where it ties {1}
+        # with the smaller z: (0, z2) < (z1, 0)
+        two &= one & ((z1 > 0.0) | (z1 == 0.0) & (z2 < 0.0)) | ~(none | one)
+        one &= ~two
+        ok = none | one | two
+        zw[:, 0] = np.where(none, q1, np.where(two, v1, 0.0))
+        zw[:, 1] = np.where(none, q2, np.where(one, v2, 0.0))
+        zw[:, 2] = np.where(one, z1, 0.0)
+        zw[:, 3] = np.where(two, z2, 0.0)
+        det = 1.0 - a1 * a2
+        # a1*a2 within the critical band of 1: the full support is singular
+        if abs(det) > CRITICAL_BAND and not ok.all():
+            k = np.flatnonzero(~ok)
+            c1, c2 = (-q1[k] + a1 * q2[k]) / det, (-q2[k] + a2 * q1[k]) / det
+            take = (c1 >= floor[k]) & (c2 >= floor[k])
+            k = k[take]
+            zw[k, 2], zw[k, 3], ok[k] = c1[take], c2[take], True
+        z = zw[:, 2:]
+        np.copyto(z, 0.0, where=z < 0.0)
+        return zw, ok
+    if not ok.all():
+        zw[~ok] = 0.0
+    return zw, ok
 
 
 def lcp_step(
@@ -281,26 +312,26 @@ def lcp_step(
     """
     q1 = float(g_prev[0]) + float(delta_f[0])
     q2 = float(g_prev[1]) + float(delta_f[1])
-    z, w, ok = _lcp2(float(R.a1), float(R.a2), np.array([q1]), np.array([q2]), (True, True))
+    zw, ok = _lcp2(float(R.a1), float(R.a2), np.array([q1]), np.array([q2]), (True, True))
     if not ok[0]:
         raise StepInfeasibleError("no admissible support set")
-    g1, g2 = w[0].tolist()
-    return (max(g1, 0.0), max(g2, 0.0)), tuple(z[0].tolist())
+    g1, g2, z1, z2 = zw[0].tolist()
+    return (max(g1, 0.0), max(g2, 0.0)), (z1, z2)
 
 
 class _Rates(dict):
-    """Active pattern -> (zw, bad): `_lcp2` on the driving slopes of every
-    segment with the pattern's coordinates pushable, built on first use. Row
-    k of zw is (gr1, gr2, r1, r2), the rates of g and of m on segment k, and
-    bad[k] is True where no support is admissible."""
+    """Active pattern -> (zw, bad): `_lcp2`'s table on the driving slopes of
+    every segment with the pattern's coordinates pushable, built on first
+    use. Row k of zw is (gr1, gr2, r1, r2), the rates of g and of m on
+    segment k, and bad[k] is True where no support is admissible."""
 
     def __init__(self, a1: float, a2: float, slopes: np.ndarray):
         super().__init__()
         self.a1, self.a2, self.slopes = a1, a2, slopes
 
     def __missing__(self, active):
-        z, w, ok = _lcp2(self.a1, self.a2, self.slopes[:, 0], self.slopes[:, 1], active)
-        table = self[active] = (np.hstack([w, z]), ~ok)
+        zw, ok = _lcp2(self.a1, self.a2, self.slopes[:, 0], self.slopes[:, 1], active)
+        table = self[active] = (zw, ~ok)
         return table
 
 
@@ -342,7 +373,7 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
         window = RUN_GATE
         while k < n:
             _, g1, g2, m1, m2 = rows[-1]
-            active = (abs(g1) <= eps, abs(g2) <= eps)
+            active = (g1 <= eps, g2 <= eps)
             hi = min(k + window, n)
             run = _run(rates[active], grid, dt, eps, active, (g1, g2, m1, m2), k, hi)
             if len(run):
@@ -413,41 +444,61 @@ def _march(rates: _Rates, eps, ends, rows: list, k: int, hi: int) -> int:
     sub-step and returns the next segment: hi, or the one after RUN_GATE
     segments in a row that were each one sub-step under one active set.
 
-    Coordinates with |g_j| <= eps (eps = FLOAT_DEDUP * sup|f|, the
-    `negligible` rule) are active and only they may push; the rates are the
-    row of the table for that active set, and a sub-step ends at the
+    Coordinates with g_j <= eps (eps = FLOAT_DEDUP * sup|f|, the
+    `negligible` rule; g >= 0, so no abs) are active and only they may push;
+    the rates are the row of the table for that active set, looked up at
+    the first sub-step after the set changes, and a sub-step ends at the
     segment's end or at the first zero of a positive coordinate. m adds the
-    sub-step's regulator increments in order. `solve_grid` calls it between
-    its runs; `_march_rows` takes the same sub-steps on many segments at
-    once, and tests pin the two to each other.
+    sub-step's regulator increments in order. The comparisons stand for
+    `min(a, b)`, which keeps a unless b < a, and `max(x, 0.0)`, which keeps
+    x unless x < 0.0, so NaN and -0.0 come out as from the builtins.
+    `solve_grid` calls it between its runs; `_march_rows` takes the same
+    sub-steps on many segments at once, and tests pin the two to each other
+    and to the step's first form.
     """
     t, g1, g2, m1, m2 = rows[-1]
-    active = (abs(g1) <= eps, abs(g2) <= eps)
+    active, zw = (g1 <= eps, g2 <= eps), None
     quiet = 0
     while k < hi:
         tb, start, steps = ends[k], active, 0
         while t < tb:
             if steps == 1000:
                 raise StepInfeasibleError("event cascade did not terminate", k)
-            zw, bad = rates[active]
+            if zw is None:
+                zw, bad = rates[active]
             if bad[k]:
                 raise StepInfeasibleError("no admissible rate support", k)
             gr1, gr2, r1, r2 = zw[k].tolist()
-            tau = tb - t
-            if not active[0] and gr1 < 0:
-                tau = min(tau, g1 / -gr1)
-            if not active[1] and gr2 < 0:
-                tau = min(tau, g2 / -gr2)
-            t = tb if tau == tb - t else min(t + tau, tb)
-            g1 = max(g1 + tau * gr1, 0.0) if gr1 < 0 else g1 + tau * gr1
-            g2 = max(g2 + tau * gr2, 0.0) if gr2 < 0 else g2 + tau * gr2
+            tau = span = tb - t
+            if gr1 < 0 and not active[0]:
+                reach = g1 / -gr1
+                if reach < tau:
+                    tau = reach
+            if gr2 < 0 and not active[1]:
+                reach = g2 / -gr2
+                if reach < tau:
+                    tau = reach
+            if tau == span:
+                t = tb
+            else:
+                t += tau
+                if tb < t:
+                    t = tb
+            g1 += tau * gr1
+            if g1 < 0.0 and gr1 < 0:
+                g1 = 0.0
+            g2 += tau * gr2
+            if g2 < 0.0 and gr2 < 0:
+                g2 = 0.0
             m1 += tau * r1
             m2 += tau * r2
             rows.append((t, g1, g2, m1, m2))
             steps += 1
-            active = (abs(g1) <= eps, abs(g2) <= eps)
+            if (g1 <= eps) != active[0] or (g2 <= eps) != active[1]:
+                active, zw = (g1 <= eps, g2 <= eps), None
         k += 1
-        quiet = quiet + 1 if steps == 1 and active == start else 0
+        # only a change makes a new tuple, so `is` compares the sets
+        quiet = quiet + 1 if steps == 1 and active is start else 0
         if quiet == RUN_GATE:
             break
     return k

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -213,6 +216,19 @@ def test_input_validation():
     with pytest.raises(UsageError):
         solve_grid(ReflectionMatrix2(-1.0, -2.0),
                    float_path([0, 1], [(0, 0), (1, 1)]), SolveConfig())
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "5"])
+def test_max_iter_must_be_an_integer(bad):
+    # unchecked, 2.5 fails inside the solve (range of a float) and True runs one sweep
+    with pytest.raises(UsageError, match="max_iter must be an integer"):
+        SolveConfig(max_iter=bad)
+
+
+def test_max_iter_takes_a_numpy_integer():
+    f = float_path([0, 1], [(1, 1), (2, 2)])
+    res = solve_fixed_point(IDENTITY, f, SolveConfig(max_iter=np.int64(5)))
+    assert res.converged and res.iterations <= 5
 
 
 @pytest.mark.parametrize("coord", [0, 1])
@@ -538,7 +554,8 @@ def test_safeguard_undoes_a_jump_that_overshoots(monkeypatch):
 
 def scalar_lcp2(a1, a2, q1, q2, pushable):
     # the same enumeration on one row, in scalar Python: the reference for
-    # the array rule
+    # the array rule. A candidate is admissible where each entry is >= the
+    # floor, so no NaN is, and a NaN in q makes the floor NaN
     candidates = [(0, (0.0, 0.0), (q1, q2))]
     if pushable[0]:
         candidates.append((1, (-q1, 0.0), (0.0, q2 + a2 * -q1)))
@@ -547,11 +564,11 @@ def scalar_lcp2(a1, a2, q1, q2, pushable):
     det = 1.0 - a1 * a2
     if pushable[0] and pushable[1] and abs(det) > CRITICAL_BAND:
         candidates.append((2, ((-q1 + a1 * q2) / det, (-q2 + a2 * q1) / det), (0.0, 0.0)))
-    slack = FLOAT_DEDUP * max(abs(q1), abs(q2))
+    floor = math.nan if math.isnan(q1) or math.isnan(q2) else -FLOAT_DEDUP * max(abs(q1), abs(q2))
     best = None
     for cand in candidates:
         _, z, w = cand
-        if min(z) < -slack or any(p and wj < -slack for p, wj in zip(pushable, w)):
+        if not all(zj >= floor for zj in z) or any(p and not wj >= floor for p, wj in zip(pushable, w)):
             continue
         if best is None or cand[:2] < best[:2]:
             best = cand
@@ -561,10 +578,16 @@ def scalar_lcp2(a1, a2, q1, q2, pushable):
     return (max(z[0], 0.0), max(z[1], 0.0)), w
 
 
+#: every pair of signed zeros, subnormals, huge values, infinities, NaN and
+#: small integers
+SPECIAL_ROWS = np.array(list(itertools.product(
+    [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan, 1.0, -1.0], repeat=2)))
+
+
 def lcp_rows(seed):
     # small integers and signed zeros give ties between supports; an entry
     # 0.5-2 FLOAT_DEDUP times the other's size below zero sits on either side
-    # of the slack
+    # of the slack; the special rows end the list
     rng = np.random.default_rng(seed)
     ties = rng.choice([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], size=(300, 2))
     spread = rng.normal(size=(300, 2)) * 10.0 ** rng.uniform(-6, 6, size=(300, 1))
@@ -572,30 +595,90 @@ def lcp_rows(seed):
     j = rng.integers(2, size=300)
     rows = np.arange(300)
     near[rows, j] = -np.abs(near[rows, 1 - j]) * FLOAT_DEDUP * rng.choice([0.5, 1.0, 2.0], size=300)
-    return np.vstack([ties, spread, near])
+    return np.vstack([ties, spread, near, SPECIAL_ROWS])
 
 
 PATTERNS = [(False, False), (True, False), (False, True), (True, True)]
+LCP_MATRICES = [(-0.7, 0.9), (-2.0, 1.0), (0.5, 0.5), (-1.0, 1.0), (2.0, 2.0), (-1.0, -1.0), (-1.0, -2.0)]
 
 
 @pytest.mark.parametrize("pushable", PATTERNS)
-@pytest.mark.parametrize("a1, a2", [(-0.7, 0.9), (-2.0, 1.0), (0.5, 0.5), (-1.0, 1.0),
-                                     (2.0, 2.0), (-1.0, -1.0), (-1.0, -2.0)])
+@pytest.mark.parametrize("a1, a2", LCP_MATRICES)
 def test_lcp2_batch_equals_the_rule_row_by_row(a1, a2, pushable):
     # (2, 2) is completely-S but not P, so supports {1} and {2} can tie;
     # (-1, -1) has a singular full support and (-1, -2) is not completely-S,
-    # so some rows have no admissible support
+    # so some rows have no admissible support; an infinite row meets inf - inf
     q = lcp_rows(int(100 * a1 + 10 * a2) % 2**16)
-    z, w, ok = _lcp2(a1, a2, q[:, 0], q[:, 1], pushable)
-    for i, (q1, q2) in enumerate(q.tolist()):
-        ref = scalar_lcp2(a1, a2, q1, q2, pushable)
-        one = _lcp2(a1, a2, q[i:i + 1, 0], q[i:i + 1, 1], pushable)
-        assert ok[i] == one[2][0] == (ref is not None)
-        if ref is not None:
-            assert z[i].tobytes() == one[0][0].tobytes() == np.array(ref[0]).tobytes()
-            assert w[i].tobytes() == one[1][0].tobytes() == np.array(ref[1]).tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):
+        zw, ok = _lcp2(a1, a2, q[:, 0], q[:, 1], pushable)
+        for i, (q1, q2) in enumerate(q.tolist()):
+            ref = scalar_lcp2(a1, a2, q1, q2, pushable)
+            one, one_ok = _lcp2(a1, a2, q[i:i + 1, 0], q[i:i + 1, 1], pushable)
+            assert ok[i] == one_ok[0] == (ref is not None)
+            assert zw[i].tobytes() == one[0].tobytes()
+            if ref is not None:
+                assert zw[i, 2:].tobytes() == np.array(ref[0]).tobytes()
+                assert zw[i, :2].tobytes() == np.array(ref[1]).tobytes()
+    assert not ok[-len(SPECIAL_ROWS):].all()  # the NaN rows
     if (a1, a2, pushable) == (-1.0, -2.0, (True, True)):
-        assert not ok.all()
+        assert not ok[:-len(SPECIAL_ROWS)].all()
+
+
+def frozen_lcp2(a1, a2, q1, q2, pushable):
+    # the support rule as first written, every candidate tested on every
+    # row: the reference that pins `_lcp2`'s bits, returning (z, w, ok)
+    zero = np.zeros_like(q1)
+    candidates = [(0, (zero, zero), (q1, q2))]
+    if pushable[0]:
+        candidates.append((1, (-q1, zero), (zero, q2 + a2 * -q1)))
+    if pushable[1]:
+        candidates.append((1, (zero, -q2), (q1 + a1 * -q2, zero)))
+    det = 1.0 - a1 * a2
+    if pushable[0] and pushable[1] and abs(det) > CRITICAL_BAND:
+        z = ((-q1 + a1 * q2) / det, (-q2 + a2 * q1) / det)
+        candidates.append((2, z, (zero, zero)))
+    floor = -FLOAT_DEDUP * np.maximum(np.abs(q1), np.abs(q2))
+    ok = np.zeros(len(q1), dtype=bool)
+    size, z1, z2, w1, w2 = 0, zero, zero, zero, zero
+    for n, (c1, c2), (v1, v2) in candidates:  # by support size
+        admissible = (c1 >= floor) & (c2 >= floor)
+        for p, v in zip(pushable, (v1, v2)):
+            if p:
+                admissible &= v >= floor
+        smaller = (n == size) & ((c1 < z1) | (c1 == z1) & (c2 < z2))
+        take = admissible & (~ok | smaller)
+        size = np.where(take, n, size)
+        z1, z2, w1, w2 = (np.where(take, c, b) for c, b in
+                          ((c1, z1), (c2, z2), (v1, w1), (v2, w2)))
+        ok |= take
+    z = np.column_stack([z1, z2])
+    return np.where(z < 0.0, 0.0, z), np.column_stack([w1, w2]), ok
+
+
+@pytest.mark.parametrize("pushable", PATTERNS)
+@pytest.mark.parametrize("a1, a2", LCP_MATRICES + [
+    (1.0, 1.0),  # det = 0
+    (2.0, 0.5 * (1 + 2.0**-42)),  # det = -2^-42, inside CRITICAL_BAND
+    (-1.0, -(1 - 2.0**-41)),  # det = 2^-41, inside CRITICAL_BAND
+    (0.99, -0.99), (0.3, -0.4), (-2.0, -2.0),
+])
+def test_lcp2_is_the_frozen_rule_byte_for_byte(a1, a2, pushable):
+    # besides lcp_rows, rows q = -R c whose full support c has one entry
+    # within the slack below 0: where det < -1, as for (-2, -2), no smaller
+    # support is admissible on some of them and the clip sets that entry to 0
+    rng = np.random.default_rng(8)
+    c = rng.normal(size=(2000, 2))
+    j, rows = rng.integers(2, size=2000), np.arange(2000)
+    c[rows, j] = -rng.uniform(0.0, 4.0, size=2000) * FLOAT_DEDUP * np.abs(c[rows, 1 - j])
+    q = np.vstack([lcp_rows(7), -c @ np.array([[1.0, a1], [a2, 1.0]]).T])
+    with np.errstate(invalid="ignore", over="ignore"):
+        z, w, ok = frozen_lcp2(a1, a2, q[:, 0], q[:, 1], pushable)
+        zw, got = _lcp2(a1, a2, q[:, 0], q[:, 1], pushable)
+    assert zw.shape == (len(q), 4)
+    assert zw[:, 2:].tobytes() == z.tobytes()
+    assert zw[:, :2].tobytes() == w.tobytes()
+    assert got.tobytes() == ok.tobytes()
+    assert not ok.all() and not zw[~ok].any()  # the NaN rows: z = w = 0
 
 
 # --- solve_grid's runs against the per-segment march --------------------------
@@ -1000,3 +1083,136 @@ def test_batched_kink_march_names_the_segment_the_row_loop_names(g, slopes, fail
         _march_rows(_Rates(-1.0, -2.0, slopes), 2.0**-40, g, ta, tb, k)
     assert str(batched.value) == str(row_loop.value) == "no admissible rate support"
     assert batched.value.step_index == row_loop.value.step_index == k[failing]
+
+
+# --- the event step against its first form -----------------------------------
+
+
+def frozen_march(rates, eps, ends, rows, k, hi):
+    # the event step as first written, with abs(), min() and max() and one
+    # table lookup per sub-step: the reference that pins `_march`'s bits
+    t, g1, g2, m1, m2 = rows[-1]
+    active = (abs(g1) <= eps, abs(g2) <= eps)
+    quiet = 0
+    while k < hi:
+        tb, start, steps = ends[k], active, 0
+        while t < tb:
+            if steps == 1000:
+                raise StepInfeasibleError("event cascade did not terminate", k)
+            zw, bad = rates[active]
+            if bad[k]:
+                raise StepInfeasibleError("no admissible rate support", k)
+            gr1, gr2, r1, r2 = zw[k].tolist()
+            tau = tb - t
+            if not active[0] and gr1 < 0:
+                tau = min(tau, g1 / -gr1)
+            if not active[1] and gr2 < 0:
+                tau = min(tau, g2 / -gr2)
+            t = tb if tau == tb - t else min(t + tau, tb)
+            g1 = max(g1 + tau * gr1, 0.0) if gr1 < 0 else g1 + tau * gr1
+            g2 = max(g2 + tau * gr2, 0.0) if gr2 < 0 else g2 + tau * gr2
+            m1 += tau * r1
+            m2 += tau * r2
+            rows.append((t, g1, g2, m1, m2))
+            steps += 1
+            active = (abs(g1) <= eps, abs(g2) <= eps)
+        k += 1
+        quiet = quiet + 1 if steps == 1 and active == start else 0
+        if quiet == RUN_GATE:
+            break
+    return k
+
+
+def stretch_march(march, rates, eps, ends, state, k=0):
+    # `march` from `state` at segment k to the end, called again at each
+    # segment it returns, as solve_grid calls it but with no runs: the rows,
+    # then the returned segments and the error raised, if any
+    rows, stops = [state], []
+    try:
+        while k < len(ends):
+            k = march(rates, eps, ends, rows, k, len(ends))
+            stops.append(k)
+    except StepInfeasibleError as e:
+        stops.append((str(e), e.step_index))
+    return np.array(rows).tobytes(), stops
+
+
+def assert_march_is_frozen(rates, eps, ends, state, k=0):
+    got = stretch_march(_march, rates, eps, ends, state, k)
+    assert got == stretch_march(frozen_march, rates, eps, ends, state, k)
+    return got[1]
+
+
+def assert_march_is_frozen_on(R, f):
+    eps = FLOAT_DEDUP * float(np.max(np.abs(f.x)))
+    rates = _Rates(float(R.a1), float(R.a2), np.diff(f.x, axis=0) / np.diff(f.t)[:, None])
+    state = (f.t[0].item(), max(float(f.x[0, 0]), 0.0), max(float(f.x[0, 1]), 0.0), 0.0, 0.0)
+    assert_march_is_frozen(rates, eps, f.t[1:].tolist(), state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reflected_drivers())
+def test_march_is_the_frozen_step_on_drawn_stretches(case):
+    assert_march_is_frozen_on(*case)
+
+
+CORNER_MATRICES = [(0.9, -0.9), (0.99, -0.99), (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("a1, a2", CORNER_MATRICES)
+@pytest.mark.parametrize("seed", range(2))
+def test_march_is_the_frozen_step_on_corner_walks(a1, a2, seed):
+    assert_march_is_frozen_on(ReflectionMatrix2(a1, a2), corner_walk(seed, n=2000))
+
+
+@pytest.mark.parametrize("a1, a2", CORNER_MATRICES)
+def test_march_is_the_frozen_step_on_kink_rounds_at_damping_half(a1, a2, monkeypatch):
+    # every segment of every enrichment round, from the sweeps' states: each
+    # row of `_march_rows` marched on its own by both steps
+    batched, rows = _march_rows, []
+
+    def checked(rates, eps, g, ta, tb, k):
+        ends = tb.tolist()
+        for i, (a, (g1, g2)) in enumerate(zip(ta.tolist(), g.tolist())):
+            assert_march_is_frozen(rates, eps, ends[:i + 1], (a, g1, g2, 0.0, 0.0), i)
+        rows.append(len(k))
+        return batched(rates, eps, g, ta, tb, k)
+
+    monkeypatch.setattr(solver, "_march_rows", checked)
+    f = corner_walk(0, n=2000)
+    cfg = SolveConfig(tol=1e-12 * float(np.max(np.abs(f.x))), max_iter=100_000, damping=0.5)
+    assert solve_fixed_point(ReflectionMatrix2(a1, a2), f, cfg).converged
+    assert rows[0] > 0
+
+
+@pytest.mark.parametrize("t0, g, slope", [
+    # -0.0 + 0.125 * -5e-324 is -0.0, which max(x, 0.0) keeps
+    pytest.param(0.0, (-0.0, 2.0), (-5e-324, 0.25), id="signed-zero"),
+    # the first segment's span 0.125 + 2^60 rounds to 2^60, and t + span to
+    # 0: the sub-step ends at the segment's end only by the snap to it
+    pytest.param(-2.0**60, (1.0, 2.0), (1.0, 0.25), id="span-misses-the-end"),
+    # the reach g1 / inf is 0, and g1 + 0 * -inf is NaN from then on
+    pytest.param(0.0, (1.0, 2.0), (-np.inf, 0.25), id="infinite-fall"),
+    pytest.param(0.0, (1.0, 2.0), (np.nan, 0.25), id="nan-slope"),
+])
+def test_march_is_the_frozen_step_on_special_floats(t0, g, slope):
+    rates = _Rates(*P, np.tile(slope, (8, 1)))
+    ends = (np.arange(1, 9) / 8).tolist()
+    assert_march_is_frozen(rates, 2.0**-40, ends, (t0, *g, 0.0, 0.0))
+
+
+def test_march_raises_what_the_frozen_step_raises():
+    # R = (-1, -2) is not completely-S: both coordinates stay at zero under
+    # the slope (-1, 2), and the slope (-1, -1) at segment G + 3 has no
+    # admissible support, after a stretch that ends at the gate
+    slopes = np.tile([-1.0, 2.0], (4 * G, 1))
+    slopes[G + 3] = (-1.0, -1.0)
+    ends = (np.arange(1, 4 * G + 1) / 64).tolist()
+    stops = assert_march_is_frozen(_Rates(-1.0, -2.0, slopes), 2.0**-40, ends, (0.0,) * 5)
+    assert stops == [G, ("no admissible rate support", G + 3)]
+    # the cap: with eps = 0, g1 = 5e-324 is slack, and its reach 5e-324 / 2
+    # rounds to 0, so no sub-step moves t; segment 3 raises after 1000 of them
+    slopes = np.tile([-2.0, 1.0], (6, 1))
+    stops = assert_march_is_frozen(_Rates(0.3, -0.4, slopes), 0.0, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                                   (3.0, 5e-324, 1.0, 0.0, 0.0), 3)
+    assert stops == [("event cascade did not terminate", 3)]
