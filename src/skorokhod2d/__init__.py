@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     ExactnessError,
     InvalidMatrixError,
+    SkorokhodError,
     StepInfeasibleError,
     UsageError,
 )

@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout, human summaries to stderr. Exit codes:
 0 success (and pass=true where a verdict applies), 1 verification failure,
-2 usage or input errors.
+2 usage or input errors: every package error (`errors.SkorokhodError`) and
+`OSError`.
 
 Each JSON document is encoded once, by `json.dumps(doc, sort_keys=True)`:
 `_emit` prints every stdout document, and `solve --out` writes the same
@@ -27,29 +28,10 @@ from . import serialize
 from .classify import ReflectionMatrix2, classify
 from .counterexample import build_counterexample, check_identities, solution_gap
 from .dyadic import Dyadic
-from .errors import (
-    ConstructionError,
-    DivergenceError,
-    DomainError,
-    ExactnessError,
-    InvalidMatrixError,
-    StepInfeasibleError,
-    UsageError,
-)
+from .errors import SkorokhodError, UsageError
 from .figure import emit_figure
 from .solver import SolveConfig, solve_fixed_point, solve_grid
 from .verifier import compare_solutions, verify
-
-_PKG_ERRORS = (
-    UsageError,
-    DomainError,
-    InvalidMatrixError,
-    ConstructionError,
-    DivergenceError,
-    ExactnessError,
-    StepInfeasibleError,
-    OSError,
-)
 
 
 def _fraction(text: str) -> Fraction:
@@ -305,7 +287,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _PKG_ERRORS as exc:
+    except (SkorokhodError, OSError) as exc:
         _note(f"error: {exc}")
         return 2
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .classify import ReflectionMatrix2
 from .dyadic import MAX_EXACT_BITS, Dyadic, to_dyadic
-from .errors import ConstructionError, ExactnessError, UsageError
+from .errors import ConstructionError, ExactnessError
 from .paths import (
     EXACT,
     FLOAT,
@@ -71,38 +71,32 @@ class CounterexampleBundle:
         return SolutionTriple(self.R, self.f, self.gbar, self.decomp.mbar, self.tail_bound)
 
 
-def _resolve_mode(a1, depth: int, mode: str):
+def _resolve_mode(a1, depth: int):
     """Check the spiral's parameters; (mode, a1, rho = 1/|a1|), exact if rho is dyadic."""
     if not a1 < -1:
         raise ConstructionError("spiral requires a1 < -1 (it must expand)")
     if depth < 4 or depth % 4:
         raise ConstructionError("depth must be a positive multiple of 4")
-    if mode not in ("auto", EXACT, FLOAT):
-        raise UsageError(f"unknown mode {mode!r}")
-    if mode != FLOAT:
-        try:
-            a1d = to_dyadic(a1)
-            rho = Dyadic(1) / abs(a1d)
-        except (ExactnessError, TypeError):
-            if mode == EXACT:
-                raise ExactnessError(f"a1={a1!r} does not admit exact construction")
-        else:
-            # rho = 2^-k; its powers rho^0 .. rho^(depth + 2) are the widest array built
-            if (depth + 3) * (depth + 2) * -rho.exp2 > MAX_EXACT_BITS:
-                raise ConstructionError(
-                    f"exact spiral too deep: depth {depth} with a1={float(a1)!r} needs an array of "
-                    f"{depth + 3} scalars on exponents 0 to {rho.exp2 * (depth + 2)}, over "
-                    f"MAX_EXACT_BITS = {MAX_EXACT_BITS} bits")
-            return EXACT, a1d, rho
-    rho = 1.0 / abs(float(a1))
-    if not _fits_doubles(rho, depth):
-        deepest = 0
-        while _fits_doubles(rho, deepest + 4):  # ends by depth 1072, where 2^-1076 is 0
-            deepest += 4
+    try:
+        a1d = to_dyadic(a1)
+        rho = Dyadic(1) / abs(a1d)
+    except (ExactnessError, TypeError):
+        rho = 1.0 / abs(float(a1))
+        if not _fits_doubles(rho, depth):
+            deepest = 0
+            while _fits_doubles(rho, deepest + 4):  # ends by depth 1072, where 2^-1076 is 0
+                deepest += 4
+            raise ConstructionError(
+                f"float spiral with a1={float(a1)!r} does not fit in doubles at depth {depth}: "
+                + (f"the largest depth that works is {deepest}" if deepest else "no depth works"))
+        return FLOAT, float(a1), rho
+    # rho = 2^-k; its powers rho^0 .. rho^(depth + 2) are the widest array built
+    if (depth + 3) * (depth + 2) * -rho.exp2 > MAX_EXACT_BITS:
         raise ConstructionError(
-            f"float spiral with a1={float(a1)!r} does not fit in doubles at depth {depth}: "
-            + (f"the largest depth that works is {deepest}" if deepest else "no depth works"))
-    return FLOAT, float(a1), rho
+            f"exact spiral too deep: depth {depth} with a1={float(a1)!r} needs an array of "
+            f"{depth + 3} scalars on exponents 0 to {rho.exp2 * (depth + 2)}, over "
+            f"MAX_EXACT_BITS = {MAX_EXACT_BITS} bits")
+    return EXACT, a1d, rho
 
 
 def _fits_doubles(rho: float, depth: int) -> bool:
@@ -112,14 +106,15 @@ def _fits_doubles(rho: float, depth: int) -> bool:
     return 0.5**depth > 0 and rho ** (depth // 2) >= sys.float_info.min
 
 
-def build_u(a1, depth: int, mode: str = "auto") -> PLPath2:
-    """The expanding spiral: breakpoints at t_n = 2^-n, n = depth..0.
+def build_u(a1, depth: int) -> PLPath2:
+    """The expanding spiral: breakpoints at t_n = 2^-n, n = depth..0, exact
+    exactly when 1/|a1| is dyadic and float otherwise.
 
     Every breakpoint lies on one of the two reference lines, and exactly one
     coordinate changes per segment, so the monotone decomposition reads off
     segment by segment.
     """
-    return _spiral(depth, *_resolve_mode(a1, depth, mode))
+    return _spiral(depth, *_resolve_mode(a1, depth))
 
 
 def _spiral(depth: int, mode: str, a1, rho) -> PLPath2:
@@ -155,9 +150,10 @@ def _guard_geometry(u: PLPath2, a1) -> None:
         raise ConstructionError(f"segment {both[0]} must change exactly one coordinate")
 
 
-def build_counterexample(a1, depth: int = 40, mode: str = "auto") -> CounterexampleBundle:
-    """Full bundle: spiral, decomposition, driving function and both solutions."""
-    use_mode, a1c, rho = _resolve_mode(a1, depth, mode)
+def build_counterexample(a1, depth: int = 40) -> CounterexampleBundle:
+    """Full bundle: spiral, decomposition, driving function and both solutions,
+    in the spiral's mode (`build_u`)."""
+    use_mode, a1c, rho = _resolve_mode(a1, depth)
     u = _spiral(depth, use_mode, a1c, rho)
     R = ReflectionMatrix2(a1c, _coerce_scalar(1, use_mode))
 

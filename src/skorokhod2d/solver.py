@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -56,10 +57,14 @@ class SolveConfig:
     damping: float = 1.0
 
     def __post_init__(self):
+        for name, kind, what in (("tol", numbers.Real, "a real number"),
+                                 ("max_iter", numbers.Integral, "an integer"),
+                                 ("damping", numbers.Real, "a real number")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise UsageError(f"{name} must be {what}, not {value!r}")
         if not self.tol > 0:
             raise UsageError("tol must be positive")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise UsageError(f"max_iter must be an integer, not {self.max_iter!r}")
         if self.max_iter < 1:
             raise UsageError("max_iter must be >= 1")
         if not 0 < self.damping <= 1:
@@ -92,18 +97,26 @@ def skorokhod_1d(h: np.ndarray) -> np.ndarray:
 def _set_up(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig):
     """Both solvers' start: R's entries as floats, the grid (f's breakpoints,
     merged with cfg.grid if given, so the sampled f is the exact path), f's
-    points on it, and eps = FLOAT_DEDUP * sup|f|, below which g_j counts as 0."""
+    points on it, and eps = FLOAT_DEDUP * sup|f|, below which g_j counts as 0.
+    An increment of f past the double range is refused; none can be while
+    sup|f| is at most half the range."""
     if f.mode != FLOAT:
         raise UsageError("solvers run in float mode only")
     if np.any(f.x[0] < 0):
         raise UsageError("driving function must have f(start) >= 0")
-    grid = f.t
+    grid, x = f.t, f.x
+    sup = float(np.max(np.abs(x)))
+    if sup > sys.float_info.max / 2:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.diff(x, axis=0)).all():
+                raise UsageError("an increment of the driving function is beyond the double range")
     if cfg.grid is not None:
         grid = _merge(f.t, cfg.grid)
         if grid[0] != f.t[0] or grid[-1] != f.t[-1]:
             raise UsageError("grid reaches outside the driving path's time domain")
-    x = with_times(f, grid).x
-    return float(R.a1), float(R.a2), grid, x, FLOAT_DEDUP * float(np.max(np.abs(x)))
+        x = with_times(f, grid).x
+        sup = float(np.max(np.abs(x)))
+    return float(R.a1), float(R.a2), grid, x, FLOAT_DEDUP * sup
 
 
 def _result(t, g, m, iterations: int, converged: bool, residual: float) -> SolveResult:
@@ -354,12 +367,18 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
     take in one sub-step, with the same bits. The run's window starts at
     RUN_GATE and doubles while every segment in it is quiet, so the work
     stays linear; the first segment that is not quiet goes back to `_march`.
+    A slope of f past the double range (a segment too short for its
+    increment) is refused.
     """
     a1, a2, grid, x, eps = _set_up(R, f, cfg)
     if not is_completely_s(ReflectionMatrix2(a1, a2)):
         raise UsageError("grid solver requires a completely-S matrix")
     dt = np.diff(grid)
-    rates = _Rates(a1, a2, np.diff(x, axis=0) / dt[:, None])
+    with np.errstate(over="ignore"):
+        slopes = np.diff(x, axis=0) / dt[:, None]
+    if not np.isfinite(slopes).all():
+        raise UsageError("a slope of the driving function is beyond the double range")
+    rates = _Rates(a1, a2, slopes)
     ts = grid.tolist()  # Python floats index faster in the marching loop
     ends, n = ts[1:], len(ts) - 1
 
@@ -512,18 +531,17 @@ def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
     Each pass takes one sub-step on every unfinished row with the float
     operations of `_march` in the same order (`where(x < 0, 0.0, x)` is
     `max(x, 0.0)`, signed zeros included), so the times are the scalar
-    step's bits. On the first inadmissible row, or at `_march`'s cap of 1000
-    sub-steps, the batch stops and `_march` takes the rows in order, so a
-    failure raises what a loop over the rows raises.
+    step's bits. A row whose rates are inadmissible, or that reaches the cap
+    of 1000 sub-steps, leaves the batch and the rest march on; the smallest
+    such row i raises what `_march` raises for its grid segment k[i].
     """
     rows, t, end, x = np.arange(len(k)), ta, tb, g
     times, owners = [np.empty(0)], [rows[:0]]
+    first, message = len(k), None  # the smallest failing row and its error
     for step in range(1001):
         live = t < end
         rows, t, end, x = rows[live], t[live], end[live], x[live]
-        if not len(rows):
-            return np.concatenate(times)[np.argsort(np.concatenate(owners), kind="stable")]
-        if step == 1000:
+        if not len(rows) or step == 1000:
             break
         active = np.abs(x) <= eps
         pattern = active[:, 0] + 2 * active[:, 1]
@@ -534,7 +552,11 @@ def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
             table, stuck = rates[(bool(p & 1), bool(p & 2))]
             zw[sel], bad[sel] = table[rows[sel]], stuck[rows[sel]]
         if bad.any():
-            break
+            i = rows[bad.argmax()]
+            if i < first:
+                first, message = i, "no admissible rate support"
+            ok = ~bad
+            rows, t, end, x, zw, active = rows[ok], t[ok], end[ok], x[ok], zw[ok], active[ok]
         gr = zw[:, :2]
         tau = end - t
         reach = np.full_like(x, np.inf)
@@ -548,12 +570,8 @@ def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
         inner = t < end
         times.append(t[inner])
         owners.append(rows[inner])
-    ends, kinks = tb.tolist(), []
-    for i, (start, g1, g2) in enumerate(zip(ta.tolist(), *g.T.tolist())):
-        steps = [(start, g1, g2, 0.0, 0.0)]
-        try:
-            _march(rates, eps, ends, steps, i, i + 1)
-        except StepInfeasibleError as e:  # row i marches grid segment k[i]
-            raise StepInfeasibleError(str(e), int(k[i])) from None
-        kinks += [step[0] for step in steps[1:-1]]
-    return np.array(kinks, dtype=float)
+    if len(rows) and rows[0] < first:  # rows left at the cap
+        first, message = rows[0], "event cascade did not terminate"
+    if message is not None:
+        raise StepInfeasibleError(message, int(k[first]))
+    return np.concatenate(times)[np.argsort(np.concatenate(owners), kind="stable")]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from skorokhod2d import serialize
+from skorokhod2d import cli, errors, serialize
 from skorokhod2d.classify import ReflectionMatrix2
 from skorokhod2d.cli import run
 from skorokhod2d.paths import FLOAT, PLPath2
@@ -275,6 +275,50 @@ def test_diverging_fixed_point_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "diverged" in captured.err
     assert captured.out == ""
+
+
+#: one instance of each class in `errors`, with the stdlib class it keeps
+PACKAGE_ERRORS = [
+    (errors.SkorokhodError("base"), Exception),
+    (errors.ExactnessError("inexact"), ArithmeticError),
+    (errors.UsageError("usage"), ValueError),
+    (errors.DomainError("domain"), ValueError),
+    (errors.InvalidMatrixError("matrix"), ValueError),
+    (errors.ConstructionError("construction"), ValueError),
+    (errors.StepInfeasibleError("infeasible", 3), RuntimeError),
+    (errors.DivergenceError(2, 7), ArithmeticError),
+]
+
+
+def test_every_package_error_exits_2_with_one_line(capsys, monkeypatch):
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__}
+    assert {type(exc) for exc, _ in PACKAGE_ERRORS} == classes
+    for exc, stdlib in PACKAGE_ERRORS:
+        assert isinstance(exc, errors.SkorokhodError) and isinstance(exc, stdlib)
+
+        def handler(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_classify", handler)
+        assert run(["classify", "--a1", "1", "--a2", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("times, values, method, message", [
+    ([0, 1, 2], [[1.5e308, 1], [-1.5e308, 1], [0, 1]], "fixed", "an increment"),
+    ([0, 1, 2], [[1.5e308, 1], [-1.5e308, 1], [0, 1]], "grid", "an increment"),
+    ([0, 5e-324, 1], [[1, 1], [2, 2], [1, 1]], "grid", "a slope"),
+], ids=["overflow-fixed", "overflow-grid", "short-segment-grid"])
+def test_solve_refuses_a_driver_past_the_double_range(tmp_path, capsys, times, values, method,
+                                                      message):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps({"mode": "float", "times": times, "values": values}))
+    assert run(["solve", "--matrix=0.3,-0.4", "--f", str(fpath), "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} of the driving function is beyond the double range\n"
 
 
 @pytest.mark.parametrize("content", [

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from skorokhod2d.classify import Regime, classify_regime
@@ -8,7 +10,7 @@ from skorokhod2d.counterexample import (
     solution_gap,
 )
 from skorokhod2d.dyadic import Dyadic
-from skorokhod2d.errors import ConstructionError, ExactnessError, UsageError
+from skorokhod2d.errors import ConstructionError, UsageError
 from skorokhod2d.figure import emit_figure
 from skorokhod2d.paths import EXACT, FLOAT, matrix_apply, path_min, stieltjes
 from skorokhod2d.verifier import verify
@@ -54,13 +56,12 @@ def test_depth_and_slope_validation():
 
 
 def test_mode_resolution():
-    assert build_u(Dyadic(-2), 8).mode == EXACT
-    assert build_u(-1.5, 8, mode="auto").mode == FLOAT  # 1/1.5 not dyadic
-    assert build_u(-1.5, 8, mode="float").mode == FLOAT
-    with pytest.raises(ExactnessError):
-        build_u(-1.5, 8, mode="exact")
-    with pytest.raises(UsageError, match="unknown mode 'spam'"):
-        build_counterexample(Dyadic(-2), 8, mode="spam")
+    # a spiral is exact exactly when 1/|a1| is dyadic, whatever the type of a1
+    for a1 in (Dyadic(-2), -2.0, Fraction(-4)):
+        assert build_u(a1, 8).mode == EXACT
+        assert build_counterexample(a1, 8).u.mode == EXACT
+    assert build_u(-1.5, 8).mode == FLOAT  # 1/1.5 not dyadic
+    assert build_counterexample(-1.5, 8).u.mode == FLOAT
 
 
 def test_bundle_regime_and_gap():
@@ -121,7 +122,7 @@ def test_other_slopes_exact_when_power_of_two():
 
 
 def test_float_mode_verifies_loosely():
-    b = build_counterexample(-1.5, depth=8, mode="float")
+    b = build_counterexample(-1.5, depth=8)
     assert b.u.mode == FLOAT
     assert verify(b.triple(), tol=1e-12).passed
     gap = solution_gap(b)
@@ -129,12 +130,12 @@ def test_float_mode_verifies_loosely():
     assert gap[1] == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("a1", [-1.5, -2.0, -3.0])
+@pytest.mark.parametrize("a1", [-1.5, -2.5, -3.0])
 @pytest.mark.parametrize("depth", [40, 100, 200])
 def test_float_spiral_certifies_at_depth(a1, depth):
     # the spiral's breakpoints reach 2^-200 and its values (1/|a1|)^100, so
     # a float tolerance with an absolute floor fails here
-    b = build_counterexample(a1, depth, mode="float")
+    b = build_counterexample(a1, depth)
     assert b.u.mode == FLOAT
     assert check_identities(b)
     assert verify(b.triple(), tol=2.0**-40).passed

@@ -225,6 +225,14 @@ def test_max_iter_must_be_an_integer(bad):
         SolveConfig(max_iter=bad)
 
 
+@pytest.mark.parametrize("field", ["tol", "damping"])
+@pytest.mark.parametrize("bad", ["1e-9", True])
+def test_tol_and_damping_must_be_real_numbers(field, bad):
+    # unchecked, "1e-9" raised TypeError from the comparison and True passed as 1
+    with pytest.raises(UsageError, match=f"{field} must be a real number, not {bad!r}"):
+        SolveConfig(**{field: bad})
+
+
 def test_max_iter_takes_a_numpy_integer():
     f = float_path([0, 1], [(1, 1), (2, 2)])
     res = solve_fixed_point(IDENTITY, f, SolveConfig(max_iter=np.int64(5)))
@@ -243,6 +251,32 @@ def test_fixed_point_refuses_a_non_finite_init_before_any_sweep(bad, coord, monk
     monkeypatch.setattr(solver, "skorokhod_1d", lambda h: pytest.fail("a sweep ran"))
     with pytest.raises(UsageError, match="init arrays must be finite"):
         solve_fixed_point(ReflectionMatrix2(0.5, -0.5), f, SolveConfig(), init=tuple(init))
+
+
+@pytest.mark.parametrize("grid", [None, [0.0, 0.5, 2.0]])
+@pytest.mark.parametrize("solve", [solve_fixed_point, solve_grid])
+def test_solvers_refuse_an_increment_past_the_double_range(solve, grid, monkeypatch):
+    # f1 falls from 1.5e308 to -1.5e308, an increment of -3e308; unchecked,
+    # the fixed-point solver returned g1 = -7.5e291 as converged and the grid
+    # solver failed in its result's path
+    f = float_path([0, 1, 2], [(1.5e308, 1), (-1.5e308, 1), (0, 1)])
+    monkeypatch.setattr(solver, "skorokhod_1d", lambda h: pytest.fail("a sweep ran"))
+    monkeypatch.setattr(solver, "_march", lambda *args: pytest.fail("a march ran"))
+    with pytest.raises(UsageError, match="an increment of the driving function is beyond the double range"):
+        solve(ReflectionMatrix2(0.3, -0.4), f, SolveConfig(grid=grid))
+
+
+def test_grid_solver_refuses_a_slope_past_the_double_range(monkeypatch):
+    # a segment 5e-324 long rises by 1: its slope is past the double range
+    f = float_path([0.0, 5e-324, 1.0], [(1, 1), (2, 2), (1, 1)])
+    R = ReflectionMatrix2(0.3, -0.4)
+    monkeypatch.setattr(solver, "_march", lambda *args: pytest.fail("a march ran"))
+    with pytest.raises(UsageError, match="a slope of the driving function is beyond the double range"):
+        solve_grid(R, f, SolveConfig())
+    # the fixed-point solver, which calls no `_march`, reads no slope there and solves it
+    res = solve_fixed_point(R, f, SolveConfig())
+    assert res.converged
+    assert verify(SolutionTriple(R, f, res.g, res.m), tol=1e-12).passed
 
 
 def test_lcp_step_no_push_needed():
@@ -1069,6 +1103,11 @@ def test_batched_kink_march_takes_several_sub_steps_per_row():
     ([(1.0, 1.0), (0.5, 0.0), (0.0, 0.0)], [(1.0, 1.0), (-1.0, 2.0), (-1.0, -1.0)], 2),
     # rows 0 and 2 fail in their second sub-step, row 1 in its first
     ([(0.5, 0.0), (0.0, 0.0), (0.5, 0.0)], [(-1.0, -1.0)] * 3, 0),
+    # row 1 fails in its first sub-step; row 2 marches on through two
+    # sub-steps, and row 0 fails in its third, two passes later: row 0 is named
+    ([(0.25, 0.5), (0.0, 0.0), (0.25, 0.5)], [(-1.0, -1.0), (-1.0, -1.0), (-1.0, 3.0)], 0),
+    # row 0 fails in its first sub-step, row 2 in its third: row 0 is named
+    ([(0.0, 0.0), (1.0, 1.0), (0.25, 0.5)], [(-1.0, -1.0), (1.0, 1.0), (-1.0, -1.0)], 0),
 ])
 def test_batched_kink_march_names_the_segment_the_row_loop_names(g, slopes, failing):
     # R = (-1, -2) is not completely-S: with both coordinates at zero the
@@ -1082,6 +1121,28 @@ def test_batched_kink_march_names_the_segment_the_row_loop_names(g, slopes, fail
     with pytest.raises(StepInfeasibleError) as batched:
         _march_rows(_Rates(-1.0, -2.0, slopes), 2.0**-40, g, ta, tb, k)
     assert str(batched.value) == str(row_loop.value) == "no admissible rate support"
+    assert batched.value.step_index == row_loop.value.step_index == k[failing]
+
+
+@pytest.mark.parametrize("order, message, failing", [
+    # row 2 fails in its first sub-step, row 1 reaches the cap: row 1 is named
+    ([0, 1, 2], "event cascade did not terminate", 1),
+    # row 0 fails in its first sub-step and is named; row 2 reaches the cap
+    ([2, 0, 1], "no admissible rate support", 0),
+])
+def test_batched_kink_march_names_a_row_at_the_cap(order, message, failing):
+    # with eps = 0, g1 = 5e-324 is slack and its reach 5e-324 / 2 rounds to
+    # 0, so its row never moves t and reaches `_march`'s cap of 1000
+    # sub-steps; g = 0 under the slope (-1, -1) has no admissible support
+    g = np.array([(1.0, 1.0), (5e-324, 1.0), (0.0, 0.0)])[order]
+    slopes = np.array([(1.0, 1.0), (-2.0, 1.0), (-1.0, -1.0)])[order]
+    ta = np.arange(3.0)
+    tb, k = ta + 1.0, np.array([4, 7, 11])
+    with pytest.raises(StepInfeasibleError) as row_loop:
+        march_row_by_row(_Rates(-1.0, -2.0, slopes), 0.0, g, ta, tb, k)
+    with pytest.raises(StepInfeasibleError) as batched:
+        _march_rows(_Rates(-1.0, -2.0, slopes), 0.0, g, ta, tb, k)
+    assert str(batched.value) == str(row_loop.value) == message
     assert batched.value.step_index == row_loop.value.step_index == k[failing]
 
 
