@@ -20,17 +20,19 @@ fixed-point solver iterates the one-dimensional regulator map
 coordinate-wise (Gauss-Seidel sweeps, optional damping; an overflow raises
 `DivergenceError`) and then inserts the step's event times as kinks into the
 grid, so the converged output is piecewise linear through the true
-solution's breakpoints. The segments it examines do not depend on one
-another, so one batched march, `_march_rows`, takes their sub-steps together
-as array code, with the bits of `_march` row by row; `_kink_times` picks
-them on the sweeps' (2, n) rows. Near the fixed point the active sets
-freeze, the sweep is affine and its error shrinks by one rate per sweep,
-about |a1*a2| under a rotational matrix; once two successive rate
-estimates agree, the iteration jumps to the limit of that geometric series
-(Aitken's extrapolation). A jump after which the next sweep moves m more
-than the one before it is undone, and the round sweeps plainly on. Both
-solvers start from one set-up (`_set_up`) and return g and m on one time
-array (`_result`).
+solution's breakpoints. Each kink takes the march's own m, so the next round
+of sweeps starts at the fixed point on the enriched grid; a round after the
+first whose first sweep moves m by less than tol ends the enrichment. The
+segments it examines do not depend on one another, so one batched march,
+`_march_rows`, takes their sub-steps together as array code, with the bits
+of `_march` row by row; `_kink_times` picks them on the sweeps' (2, n) rows.
+Near the fixed point the active sets freeze, the sweep is affine and its
+error shrinks by one rate per sweep, about |a1*a2| under a rotational
+matrix; once two successive rate estimates agree, the iteration jumps to the
+limit of that geometric series (Aitken's extrapolation). A jump after which
+the next sweep moves m more than the one before it is undone, and the round
+sweeps plainly on. Both solvers start from one set-up (`_set_up`) and
+return g and m on one time array (`_result`).
 """
 
 from __future__ import annotations
@@ -151,7 +153,11 @@ def solve_fixed_point(
     a positive coordinate of g starts with its regulator rising, the marching
     step from the converged state gives the times where g reaches zero, so
     complementarity holds to machine precision. Each round of enrichment
-    iterates again from the converged m on the enriched grid.
+    iterates again on the enriched grid, from the converged m at the old
+    points and the march's own m at the kinks, so it re-converges in about
+    one sweep. A round after the first whose first sweep moves m by less
+    than cfg.tol ends the enrichment: a kink search from there would only
+    find the kinks just inserted again, a hair later.
     """
     a1, a2, grid, fx, eps = _set_up(R, f, cfg)
     fx = fx.T.copy()  # contiguous rows for the sweeps
@@ -176,7 +182,7 @@ def solve_fixed_point(
         rate = last = before = None
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for _ in range(cfg.max_iter):
+                for sweeps in range(1, cfg.max_iter + 1):
                     total_iters += 1
                     m_new = np.empty_like(m)
                     m_new[0] = (1 - lam) * m[0] + lam * skorokhod_1d(fx[0] + a1 * m[1])
@@ -216,14 +222,18 @@ def solve_fixed_point(
             if before is not None:  # out of sweeps right after a jump
                 m, diff = before
             break
-        kinks = _joining(grid, _kink_times(grid, fx, m, a1, a2, eps))
+        if converged and sweeps == 1 and round_index > 1:
+            break  # the march's m at the last kinks is already the fixed point
+        times, mk = _kink_times(grid, fx, m, a1, a2, eps)
+        kinks = _joining(grid, times)
         if not len(kinks):
             break
-        # `_regrid` reads a path pointwise, so the grid's points keep their
-        # values: f and m are read at the new kinks alone, and inserted
+        # the kept kinks are a subsequence of the ascending times, so each
+        # takes the march's m at its own position; `_regrid` reads f
+        # pointwise, so the grid's points keep their values
         at = np.searchsorted(grid, kinks)
         fx = np.insert(fx, at, _regrid(f, kinks).x.T, axis=1)
-        m = np.insert(m, at, _regrid(PLPath2._of(grid, m.T), kinks).x.T, axis=1)
+        m = np.insert(m, at, mk[np.searchsorted(times, kinks)].T, axis=1)
         grid = np.insert(grid, at, kinks)
 
     (f1, f2), (m1, m2) = fx, m
@@ -231,16 +241,18 @@ def solve_fixed_point(
     return _result(grid, g, m.T, total_iters, converged, float(diff))
 
 
-def _kink_times(grid, f, m, a1, a2, eps) -> np.ndarray:
-    """Interior event times of `_march`, ascending, on each segment where a
-    positive coordinate of g starts with its regulator rising: one batched
-    march (`_march_rows`) over all of those segments. f and m are the
-    sweeps' (2, n) rows, and g is built row by row on them."""
+def _kink_times(grid, f, m, a1, a2, eps) -> tuple[np.ndarray, np.ndarray]:
+    """Interior event times of `_march`, ascending, and the march's (n, 2) m
+    at each, on each segment where a positive coordinate of g starts with its
+    regulator rising: one batched march (`_march_rows`) over all of those
+    segments, each from the sweeps' g and m at its start. f and m are the
+    sweeps' (2, n) rows, and g is built row by row on them. The next round
+    starts from the march's m at the kinks it keeps."""
     g = np.array([f[0] + (m[0] + a1 * m[1]), f[1] + (a2 * m[0] + m[1])])
     rising = (g[:, :-1] > eps) & (m[:, 1:] > m[:, :-1])
     k = np.flatnonzero(rising[0] | rising[1])
     rates = _Rates(a1, a2, ((f[:, k + 1] - f[:, k]) / (grid[k + 1] - grid[k])).T)
-    return _march_rows(rates, eps, np.maximum(g[:, k], 0.0).T, grid[k], grid[k + 1], k)
+    return _march_rows(rates, eps, np.maximum(g[:, k], 0.0).T, m[:, k].T, grid[k], grid[k + 1], k)
 
 
 # --- discrete complementarity stepping ---------------------------------------
@@ -523,24 +535,27 @@ def _march(rates: _Rates, eps, ends, rows: list, k: int, hi: int) -> int:
     return k
 
 
-def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
+def _march_rows(rates: _Rates, eps, g, m, ta, tb, k) -> tuple[np.ndarray, np.ndarray]:
     """`_march` on independent segments at once: row i marches grid segment
-    k[i] = [ta[i], tb[i]] from g[i] >= 0, with its rates in row i of
-    `rates`. Returns the interior event times, by row and then in time.
+    k[i] = [ta[i], tb[i]] from g[i] >= 0 and m[i], with its rates in row i of
+    `rates`. Returns the interior event times, by row and then in time, and
+    the (n, 2) m at each of them: the state that the next round of sweeps
+    starts from at those kinks.
 
     Each pass takes one sub-step on every unfinished row with the float
     operations of `_march` in the same order (`where(x < 0, 0.0, x)` is
-    `max(x, 0.0)`, signed zeros included), so the times are the scalar
-    step's bits. A row whose rates are inadmissible, or that reaches the cap
-    of 1000 sub-steps, leaves the batch and the rest march on; the smallest
-    such row i raises what `_march` raises for its grid segment k[i].
+    `max(x, 0.0)`, signed zeros included, and m adds `tau * r`), so the
+    times and m are the scalar step's bits. A row whose rates are
+    inadmissible, or that reaches the cap of 1000 sub-steps, leaves the
+    batch and the rest march on; the smallest such row i raises what
+    `_march` raises for its grid segment k[i].
     """
-    rows, t, end, x = np.arange(len(k)), ta, tb, g
-    times, owners = [np.empty(0)], [rows[:0]]
+    rows, t, end, x, y = np.arange(len(k)), ta, tb, g, m
+    times, ms, owners = [np.empty(0)], [np.empty((0, 2))], [rows[:0]]
     first, message = len(k), None  # the smallest failing row and its error
     for step in range(1001):
         live = t < end
-        rows, t, end, x = rows[live], t[live], end[live], x[live]
+        rows, t, end, x, y = rows[live], t[live], end[live], x[live], y[live]
         if not len(rows) or step == 1000:
             break
         active = np.abs(x) <= eps
@@ -556,7 +571,8 @@ def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
             if i < first:
                 first, message = i, "no admissible rate support"
             ok = ~bad
-            rows, t, end, x, zw, active = rows[ok], t[ok], end[ok], x[ok], zw[ok], active[ok]
+            rows, t, end, x, y = rows[ok], t[ok], end[ok], x[ok], y[ok]
+            zw, active = zw[ok], active[ok]
         gr = zw[:, :2]
         tau = end - t
         reach = np.full_like(x, np.inf)
@@ -567,11 +583,14 @@ def _march_rows(rates: _Rates, eps, g, ta, tb, k) -> np.ndarray:
         t = np.where((tau == end - t) | (end < t + tau), end, t + tau)
         x = x + tau[:, None] * gr
         x = np.where((gr < 0) & (x < 0), 0.0, x)
+        y = y + tau[:, None] * zw[:, 2:]
         inner = t < end
         times.append(t[inner])
+        ms.append(y[inner])
         owners.append(rows[inner])
     if len(rows) and rows[0] < first:  # rows left at the cap
         first, message = rows[0], "event cascade did not terminate"
     if message is not None:
         raise StepInfeasibleError(message, int(k[first]))
-    return np.concatenate(times)[np.argsort(np.concatenate(owners), kind="stable")]
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    return np.concatenate(times)[order], np.concatenate(ms)[order]

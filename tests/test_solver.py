@@ -543,6 +543,54 @@ def test_extrapolated_sweeps_stay_few_near_the_critical_radius(a, seed):
     assert len(fixed.m) == len(grid.m)
 
 
+def spy_sweeps_per_round(monkeypatch):
+    # sweeps per enrichment round, filled in as the solver runs: a sweep is
+    # two regulator calls, and a kink search ends every round that has one
+    regulator, search, calls = skorokhod_1d, _kink_times, [0]
+
+    def sweep(h):
+        calls[-1] += 1
+        return regulator(h)
+
+    def kinks(*args):
+        calls.append(0)
+        return search(*args)
+
+    monkeypatch.setattr(solver, "skorokhod_1d", sweep)
+    monkeypatch.setattr(solver, "_kink_times", kinks)
+    return lambda: [c // 2 for c in calls]
+
+
+@pytest.mark.parametrize("seed, points", [(1, 2008), (2, 2022), (3, 2056)])
+def test_damped_critical_rounds_after_the_first_take_one_sweep(seed, points, monkeypatch):
+    # damping 0.5 at the critical (-1, 1) re-converges at 0.5 per sweep. Each
+    # round starts from the march's own m at the kinks it inserts, so the
+    # rounds after the first start at the fixed point, and one that moves m
+    # by less than tol in its first sweep ends the enrichment. Seed 0 is left
+    # out: its first round inserts kinks a hair after grid points where
+    # `solve_grid` has none, as re-found kinks do.
+    f = corner_walk(seed, n=2000)
+    R = ReflectionMatrix2(-1.0, 1.0)
+    cfg = SolveConfig(tol=1e-12 * float(np.max(np.abs(f.x))), max_iter=100_000, damping=0.5)
+    rounds = spy_sweeps_per_round(monkeypatch)
+    fixed = solve_fixed_point(R, f, cfg)
+    assert fixed.converged
+    assert rounds()[1:] == [1]
+    assert len(fixed.m) == len(solve_grid(R, f, cfg).m) == points
+
+
+@pytest.mark.parametrize("a", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("seed", range(4))
+def test_second_round_near_the_critical_radius_takes_one_sweep(a, seed, monkeypatch):
+    # the corner walks of the extrapolated-sweeps test: the second round
+    # starts from the march's m and converges in its first sweep
+    f = corner_walk(seed)
+    cfg = SolveConfig(tol=1e-12 * float(np.max(np.abs(f.x))))
+    rounds = spy_sweeps_per_round(monkeypatch)
+    assert solve_fixed_point(ReflectionMatrix2(a, -a), f, cfg).converged
+    assert rounds()[1:] == [1]
+
+
 def test_safeguard_undoes_a_jump_that_overshoots(monkeypatch):
     # The sweep right after the first jump is knocked off course, so it moves
     # m more than the sweep before the jump. The solver must then go back to
@@ -1022,18 +1070,26 @@ def test_grid_runs_stop_at_inadmissible_rates_where_the_march_raises(n, s, r, af
 # --- the batched kink march against the per-row march -------------------------
 
 
-def march_row_by_row(rates, eps, g, ta, tb, k):
-    # the reference for `_march_rows`: `_march` on each row in turn; an error
-    # names the row's grid segment k[i]
+def march_row_by_row(rates, eps, g, m, ta, tb, k):
+    # the reference for `_march_rows`: `_march` on each row in turn, its
+    # interior rows' times and (m1, m2); an error names the row's grid
+    # segment k[i]
     kinks, ends = [], tb.tolist()
-    for i, (ki, a, (g1, g2)) in enumerate(zip(k.tolist(), ta.tolist(), g.tolist())):
-        rows = [(a, g1, g2, 0.0, 0.0)]
+    for i, (ki, a, (g1, g2), (m1, m2)) in enumerate(zip(k.tolist(), ta.tolist(), g.tolist(), m.tolist())):
+        rows = [(a, g1, g2, m1, m2)]
         try:
             _march(rates, eps, ends, rows, i, i + 1)
         except StepInfeasibleError as e:
             raise StepInfeasibleError(str(e), ki) from None
-        kinks += [row[0] for row in rows[1:-1]]
-    return np.array(kinks, dtype=float)
+        kinks += [(row[0], row[3], row[4]) for row in rows[1:-1]]
+    kinks = np.array(kinks, dtype=float).reshape(-1, 3)
+    return kinks[:, 0].copy(), kinks[:, 1:].copy()
+
+
+def assert_same_kinks(got, want):
+    # the times and the (n, 2) m at them, bit for bit
+    assert [a.shape for a in got] == [a.shape for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def kink_times_row_by_row(grid, f, m, a1, a2, eps):
@@ -1043,7 +1099,7 @@ def kink_times_row_by_row(grid, f, m, a1, a2, eps):
     g = f + np.column_stack([m[:, 0] + a1 * m[:, 1], a2 * m[:, 0] + m[:, 1]])
     k = np.nonzero(np.any((g[:-1] > eps) & (np.diff(m, axis=0) > 0), axis=1))[0]
     rates = _Rates(a1, a2, (f[k + 1] - f[k]) / (grid[k + 1] - grid[k])[:, None])
-    return march_row_by_row(rates, eps, np.maximum(g[k], 0.0), grid[k], grid[k + 1], k)
+    return march_row_by_row(rates, eps, np.maximum(g[k], 0.0), m[k], grid[k], grid[k + 1], k)
 
 
 def gaussian_walk(seed, n=2000):
@@ -1065,13 +1121,14 @@ def kink_cases():
 
 @pytest.mark.parametrize("R, f, damping", kink_cases())
 def test_batched_kink_march_equals_the_march_row_by_row(R, f, damping, monkeypatch):
-    # every enrichment round's kink times, bit for bit and in the same order
+    # every enrichment round's kink times and m at them, bit for bit and in
+    # the same order
     rounds = []
 
     def checked(*args):
         kinks = _kink_times(*args)
-        assert kinks.tobytes() == kink_times_row_by_row(*args).tobytes()
-        rounds.append(len(kinks))
+        assert_same_kinks(kinks, kink_times_row_by_row(*args))
+        rounds.append(len(kinks[0]))
         return kinks
 
     monkeypatch.setattr(solver, "_kink_times", checked)
@@ -1086,14 +1143,17 @@ def test_batched_kink_march_takes_several_sub_steps_per_row():
     eps = 2.0**-40
     slopes = np.array([[-4.0, 1.0], [1.0, 1.0], [-4.0, -4.0], [-3.0, -5.0], [2.0, -8.0]])
     g = np.array([[1.0, 2.0], [0.0, 0.5], [1.0, 2.0], [0.25, 0.0], [3.0, 1.0]])
+    m = np.array([[0.0, 0.0], [0.5, 0.125], [0.1, 0.3], [2.0, 0.0], [0.0, 1.0 / 3.0]])
     ta = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     tb, k = ta + 1.0, np.array([3, 8, 9, 20, 21])
     for a1, a2 in [(0.3, -0.4), (0.9, -0.9), (-0.5, -0.5)]:
         rates = _Rates(a1, a2, slopes)
-        kinks = _march_rows(rates, eps, g, ta, tb, k)
-        assert kinks.tobytes() == march_row_by_row(rates, eps, g, ta, tb, k).tobytes()
-        assert len(kinks) >= 3
-    assert len(_march_rows(_Rates(0.3, -0.4, slopes[:0]), eps, g[:0], ta[:0], tb[:0], k[:0])) == 0
+        kinks = _march_rows(rates, eps, g, m, ta, tb, k)
+        assert_same_kinks(kinks, march_row_by_row(rates, eps, g, m, ta, tb, k))
+        assert len(kinks[0]) >= 3
+        assert {*map(tuple, kinks[1].tolist())} - {*map(tuple, m.tolist())}  # some row pushes
+    empty = _march_rows(_Rates(0.3, -0.4, slopes[:0]), eps, g[:0], m[:0], ta[:0], tb[:0], k[:0])
+    assert empty[0].shape == (0,) and empty[1].shape == (0, 2)
 
 
 @pytest.mark.parametrize("g, slopes, failing", [
@@ -1116,10 +1176,11 @@ def test_batched_kink_march_names_the_segment_the_row_loop_names(g, slopes, fail
     g, slopes = np.array(g), np.array(slopes)
     ta = np.arange(3.0)
     tb, k = ta + 1.0, np.array([4, 7, 11])
+    m = np.zeros_like(g)
     with pytest.raises(StepInfeasibleError) as row_loop:
-        march_row_by_row(_Rates(-1.0, -2.0, slopes), 2.0**-40, g, ta, tb, k)
+        march_row_by_row(_Rates(-1.0, -2.0, slopes), 2.0**-40, g, m, ta, tb, k)
     with pytest.raises(StepInfeasibleError) as batched:
-        _march_rows(_Rates(-1.0, -2.0, slopes), 2.0**-40, g, ta, tb, k)
+        _march_rows(_Rates(-1.0, -2.0, slopes), 2.0**-40, g, m, ta, tb, k)
     assert str(batched.value) == str(row_loop.value) == "no admissible rate support"
     assert batched.value.step_index == row_loop.value.step_index == k[failing]
 
@@ -1138,10 +1199,11 @@ def test_batched_kink_march_names_a_row_at_the_cap(order, message, failing):
     slopes = np.array([(1.0, 1.0), (-2.0, 1.0), (-1.0, -1.0)])[order]
     ta = np.arange(3.0)
     tb, k = ta + 1.0, np.array([4, 7, 11])
+    m = np.zeros_like(g)
     with pytest.raises(StepInfeasibleError) as row_loop:
-        march_row_by_row(_Rates(-1.0, -2.0, slopes), 0.0, g, ta, tb, k)
+        march_row_by_row(_Rates(-1.0, -2.0, slopes), 0.0, g, m, ta, tb, k)
     with pytest.raises(StepInfeasibleError) as batched:
-        _march_rows(_Rates(-1.0, -2.0, slopes), 0.0, g, ta, tb, k)
+        _march_rows(_Rates(-1.0, -2.0, slopes), 0.0, g, m, ta, tb, k)
     assert str(batched.value) == str(row_loop.value) == message
     assert batched.value.step_index == row_loop.value.step_index == k[failing]
 
@@ -1229,15 +1291,18 @@ def test_march_is_the_frozen_step_on_corner_walks(a1, a2, seed):
 @pytest.mark.parametrize("a1, a2", CORNER_MATRICES)
 def test_march_is_the_frozen_step_on_kink_rounds_at_damping_half(a1, a2, monkeypatch):
     # every segment of every enrichment round, from the sweeps' states: each
-    # row of `_march_rows` marched on its own by both steps
+    # row of `_march_rows` marched on its own by both steps, and the batch's
+    # times and m are the step's rows
     batched, rows = _march_rows, []
 
-    def checked(rates, eps, g, ta, tb, k):
+    def checked(rates, eps, g, m, ta, tb, k):
         ends = tb.tolist()
-        for i, (a, (g1, g2)) in enumerate(zip(ta.tolist(), g.tolist())):
-            assert_march_is_frozen(rates, eps, ends[:i + 1], (a, g1, g2, 0.0, 0.0), i)
+        for i, (a, (g1, g2), (m1, m2)) in enumerate(zip(ta.tolist(), g.tolist(), m.tolist())):
+            assert_march_is_frozen(rates, eps, ends[:i + 1], (a, g1, g2, m1, m2), i)
         rows.append(len(k))
-        return batched(rates, eps, g, ta, tb, k)
+        kinks = batched(rates, eps, g, m, ta, tb, k)
+        assert_same_kinks(kinks, march_row_by_row(rates, eps, g, m, ta, tb, k))
+        return kinks
 
     monkeypatch.setattr(solver, "_march_rows", checked)
     f = corner_walk(0, n=2000)
