@@ -131,7 +131,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve(args) -> int:
     R = _parse_matrix(args.matrix, exact=False)
-    tol, damping = _float_flag(args.tol), _float_flag(args.damping)
+    flags = dict(tol=_float_flag(args.tol), max_iter=args.max_iter, damping=_float_flag(args.damping))
     f = serialize.path_from_json(_read_json(args.f))
     if args.grid_steps < 0:
         raise UsageError("--grid-steps must be >= 0")
@@ -139,7 +139,7 @@ def _cmd_solve(args) -> int:
     if args.grid_steps:
         t0, t1 = float(f.start_time), float(f.end_time)
         grid = np.linspace(t0, t1, args.grid_steps + 1)
-    cfg = SolveConfig(tol=tol, max_iter=args.max_iter, grid=grid, damping=damping)
+    cfg = SolveConfig(grid=grid, **{k: v for k, v in flags.items() if v is not None})
     if args.method == "fixed":
         res = solve_fixed_point(R, f, cfg)
     else:
@@ -240,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--matrix", required=True, help="a1,a2")
     s.add_argument("--f", required=True, help="driving path JSON file")
     s.add_argument("--method", choices=("fixed", "grid"), default="fixed")
-    s.add_argument("--tol", default="1e-9")
-    s.add_argument("--max-iter", type=int, default=10000)
-    s.add_argument("--damping", default="1")
+    s.add_argument("--tol")
+    s.add_argument("--max-iter", type=int)
+    s.add_argument("--damping")
     s.add_argument("--grid-steps", type=int, default=0)
     s.add_argument("--out")
     s.set_defaults(handler=_cmd_solve)

@@ -17,7 +17,8 @@ piece of array code for both modes, and in exact mode it runs as numpy loops
 over ints; constants such as 0 are plain Python ints, which the exact kernels
 take as they are. `times`, `values` and `eval` give Python floats or Dyadic,
 built on each use. Values between breakpoints come from
-v0 + (t - t0) * (v1 - v0) / (t1 - t0), sign changes from
+v0 + (t - t0) * (v1 - v0) / (t1 - t0) (for a float value that overflows
+there, from (1 - s) v0 + s v1 with s = (t - t0) / (t1 - t0)), sign changes from
 t0 + (t1 - t0) * d0 / (d0 - d1): exact in exact mode, or ExactnessError when
 a quotient is not dyadic.
 
@@ -172,8 +173,19 @@ class MonotoneDecomp:
 
 
 def _interp(t0, t1, v0, v1, t):
-    """The one interpolation formula; elementwise on broadcastable arrays."""
-    return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
+    """The one interpolation formula; elementwise on broadcastable arrays. A
+    float entry that it takes past the double range, where (t - t0)(v1 - v0)
+    overflows, is (1 - s) v0 + s v1 with s = (t - t0) / (t1 - t0) instead;
+    every finite entry keeps the formula's bits."""
+    if not isinstance(v0, np.ndarray):  # exact: nothing rounds or overflows
+        return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = v0 + (t - t0) * (v1 - v0) / (t1 - t0)
+        finite = np.isfinite(v)
+        if not finite.all():
+            s = (t - t0) / (t1 - t0)
+            v = np.where(finite, v, (1 - s) * v0 + s * v1)
+    return v
 
 
 # --- grid refinement -------------------------------------------------------

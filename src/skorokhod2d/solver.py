@@ -41,14 +41,14 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .classify import CRITICAL_BAND, ReflectionMatrix2, is_completely_s
 from .errors import DivergenceError, StepInfeasibleError, UsageError
-from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _grid, _joining, _merge, _regrid, with_times
+from .paths import FLOAT, FLOAT_DEDUP, PLPath2, _grid, _joining, _merge, _regrid
 
 
 @dataclass
@@ -116,7 +116,7 @@ def _set_up(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig):
         grid = _merge(f.t, cfg.grid)
         if grid[0] != f.t[0] or grid[-1] != f.t[-1]:
             raise UsageError("grid reaches outside the driving path's time domain")
-        x = with_times(f, grid).x
+        x = _regrid(f, grid).x
         sup = float(np.max(np.abs(x)))
     return float(R.a1), float(R.a2), grid, x, FLOAT_DEDUP * sup
 
@@ -137,7 +137,8 @@ def solve_fixed_point(
 
     Geometric convergence when sqrt(|a1*a2|) < 1; damping < 1 extends the
     practical reach near the critical case without any convergence claim.
-    The iteration stops at a sweep that moves m by less than cfg.tol.
+    The iteration stops at a sweep that moves m by less than cfg.tol, or
+    with converged False once the sweeps of all rounds reach cfg.max_iter.
 
     Extrapolated sweeps: after each sweep with change d, the rate estimate
     r = <d, d_prev> / <d_prev, d_prev> is taken over both coordinates. When
@@ -146,7 +147,7 @@ def solve_fixed_point(
     If the sweep after a jump moves m more than the sweep before it, the
     pre-jump state comes back and the round makes no more jumps. A jump is
     not a sweep: `iterations` and cfg.max_iter count sweeps, and the result
-    is always the output of a sweep. Error modes that come in complex pairs
+    is never the state that a jump left. Error modes that come in complex pairs
     (damping < 1 at the critical matrix) give no stable rate and no jump.
 
     After convergence the grid is enriched with kinks: on each segment where
@@ -173,16 +174,15 @@ def solve_fixed_point(
     m = np.array([m1, m2])  # rows m1, m2
 
     total_iters = 0
-    converged = False
     diff = np.inf
 
-    for round_index in range(1, 251):
+    for round_index in count(1):
         converged = False
         jumps = True
         rate = last = before = None
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for sweeps in range(1, cfg.max_iter + 1):
+                for sweeps in range(1, cfg.max_iter - total_iters + 1):
                     total_iters += 1
                     m_new = np.empty_like(m)
                     m_new[0] = (1 - lam) * m[0] + lam * skorokhod_1d(fx[0] + a1 * m[1])

@@ -236,12 +236,16 @@ def check_e2_signs(s1: SolutionTriple, s2: SolutionTriple, tol=0.0) -> E2Report:
 
     Only meaningful for the canonical critical matrix [[1, -1], [1, 1]];
     midpoint values stand in for the measure-theoretic statement on PL data.
+    The two solutions must solve one problem: as in `compare_solutions`,
+    drivers further apart than tol are refused.
     """
     _check_tol(tol)
     canonical = ReflectionMatrix2(-1, 1)
     for s in (s1, s2):
         if not _same_matrix(s.R, canonical):
             raise UsageError("check_e2_signs requires R = [[1, -1], [1, 1]]")
+    if sup_distance(s1.f, s2.f) > tol:
+        raise UsageError("solutions have different driving functions")
     u = path_sub(s1.m, s2.m).x
     mid = (u[:-1] + u[1:]) / 2
     du = np.diff(u, axis=0)

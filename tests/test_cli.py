@@ -59,6 +59,22 @@ def test_solve_fixed_and_grid(tmp_path, capsys):
         assert doc["g"]["mode"] == "float"
 
 
+def test_solve_flags_default_to_solve_config(tmp_path, capsys):
+    # solve passes only the flags that were given, so SolveConfig alone holds
+    # the defaults of --tol, --max-iter and --damping
+    fpath = str(write_driving_path(tmp_path))
+    assert (cli.SolveConfig().tol, cli.SolveConfig().max_iter, cli.SolveConfig().damping) == (1e-9, 10000, 1)
+    for method in ("fixed", "grid"):
+        base = ["solve", "--matrix=-0.5,0.5", "--f", fpath, "--method", method]
+        assert run(base) == 0
+        default = capsys.readouterr().out
+        assert run(base + ["--tol", "1e-9", "--max-iter", "10000", "--damping", "1"]) == 0
+        assert capsys.readouterr().out == default
+    # a flag that is given still reaches the solver
+    code, doc = run_json(capsys, base[:-1] + ["fixed", "--max-iter", "1", "--tol", "1e-300"])
+    assert code == 0 and doc["iterations"] == 1 and doc["converged"] is False
+
+
 def test_solve_writes_out_file(tmp_path, capsys, monkeypatch):
     fpath = write_driving_path(tmp_path)
     out = tmp_path / "sol.json"

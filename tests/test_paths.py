@@ -63,6 +63,30 @@ def test_with_times_refuses_out_of_domain_times_in_both_modes():
     assert q.values == ((0.0, 0.0), (1.0, 2.0), (2.0, 4.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_interpolation_past_the_double_range_of_its_product():
+    # (t - t0)(v1 - v0) = 5e5 * 1e303 overflows: the value came out inf, with
+    # an overflow warning, and the path held the inf
+    f = PLPath2((0.0, 1e6), ((0.0, 0.0), (1e303, 0.0)), FLOAT)
+    assert with_times(f, [0.0, 5e5, 1e6]).values == ((0.0, 0.0), (5e302, 0.0), (1e303, 0.0))
+    assert f.eval(5e5) == (5e302, 0.0)
+    # increments past the double range too, on both coordinates at once
+    g = PLPath2((0.0, 1.0), ((-1.5e308, 1.5e308), (1.5e308, -1.5e308)), FLOAT)
+    assert g.eval(0.5) == (0.0, 0.0)
+    assert with_times(g, [0.0, 0.25, 1.0]).values[1] == (-7.5e307, 7.5e307)
+
+
+def test_finite_interpolation_keeps_the_formulas_bits():
+    rng = np.random.default_rng(5)
+    t = np.cumsum(rng.random(41)) * 1e3
+    x = rng.standard_normal((41, 2)) * 1e150
+    s = np.sort(rng.uniform(t[0], t[-1], 200))
+    q = with_times(PLPath2(t, x, FLOAT), np.concatenate([[t[0]], s, [t[-1]]]))
+    i = np.searchsorted(t, s)
+    formula = x[i - 1] + (s - t[i - 1])[:, None] * (x[i] - x[i - 1]) / (t[i] - t[i - 1])[:, None]
+    assert np.array_equal(q.x[1:-1], formula)
+
+
 def test_refine_union_grid():
     p = exact_path([0, 1], [(0, 0), (2, 2)])
     q = exact_path([0, Dyadic(1, -1), 1], [(0, 0), (1, 0), (0, 0)])

@@ -279,6 +279,19 @@ def test_grid_solver_refuses_a_slope_past_the_double_range(monkeypatch):
     assert verify(SolutionTriple(R, f, res.g, res.m), tol=1e-12).passed
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [solve_fixed_point, solve_grid])
+def test_solvers_read_f_on_a_grid_past_its_product_range(solve):
+    # f at 5e5 is 5e302, but (t - t0)(v1 - v0) = 5e5 * 1e303 overflows: f
+    # read there was inf, and the solvers refused the driver
+    f = float_path([0.0, 1e6], [(0, 0), (1e303, 0)])
+    R = ReflectionMatrix2(-0.5, 0.5)
+    res = solve(R, f, SolveConfig(grid=[0, 5e5, 1e6]))
+    assert res.converged
+    assert res.g.values == ((0.0, 0.0), (5e302, 0.0), (1e303, 0.0))
+    assert res.m.values == ((0.0, 0.0),) * 3
+
+
 def test_lcp_step_no_push_needed():
     g, dm = lcp_step(IDENTITY, (1.0, 2.0), (0.5, -1.0))
     assert dm == (0.0, 0.0)
@@ -577,6 +590,27 @@ def test_damped_critical_rounds_after_the_first_take_one_sweep(seed, points, mon
     assert fixed.converged
     assert rounds()[1:] == [1]
     assert len(fixed.m) == len(solve_grid(R, f, cfg).m) == points
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_max_iter_bounds_the_sweeps_of_all_rounds_together(seed, monkeypatch):
+    # damping 0.5 at the critical (-1, 1): the first round takes some 30
+    # sweeps, and each later one at least one. max_iter is the budget of the
+    # whole solve: one short of the rounds' sum, or spent just as the first
+    # round converges, the solve stops with converged False after exactly
+    # max_iter sweeps. Each round once had max_iter sweeps of its own.
+    f = corner_walk(seed, n=2000)
+    R = ReflectionMatrix2(-1.0, 1.0)
+    rounds = spy_sweeps_per_round(monkeypatch)
+    full = solve_fixed_point(R, f, SolveConfig(damping=0.5))
+    first = rounds()[0]
+    assert full.converged and full.iterations > first
+    for budget in (first - 1, first, full.iterations - 1):
+        res = solve_fixed_point(R, f, SolveConfig(max_iter=budget, damping=0.5))
+        assert (res.iterations, res.converged) == (budget, False)
+    res = solve_fixed_point(R, f, SolveConfig(max_iter=full.iterations, damping=0.5))
+    assert res.converged and res.iterations == full.iterations
+    assert np.array_equal(res.m.x, full.m.x) and np.array_equal(res.g.x, full.g.x)
 
 
 @pytest.mark.parametrize("a", [0.9, 0.95, 0.99])

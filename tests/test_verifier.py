@@ -262,6 +262,24 @@ def test_e2_sign_check_on_canonical_pair():
     assert rep2.first_violation == 0
 
 
+def test_e2_refuses_two_different_drivers():
+    # E2 compares two solutions of one problem, so, as compare_solutions does,
+    # it refuses triples whose drivers are further apart than tol
+    R = ReflectionMatrix2(Dyadic(-1), Dyadic(1))
+    zero = exact_path([0, 1], [(0, 0), (0, 0)])
+    other = exact_path([0, 1], [(0, 0), (Dyadic(1, -3), 0)])
+    s1, s2 = SolutionTriple(R, zero, zero, zero), SolutionTriple(R, other, zero, zero)
+    for tol in (0, Dyadic(1, -4)):
+        with pytest.raises(UsageError, match="different driving functions"):
+            check_e2_signs(s1, s2, tol)
+    assert check_e2_signs(s1, s2, Dyadic(1, -3)).ok
+    # in float mode too
+    fz, fo = (PLPath2((0.0, 1.0), ((0.0, 0.0), (x, 0.0)), FLOAT) for x in (0.0, 1e-6))
+    R = ReflectionMatrix2(-1.0, 1.0)
+    with pytest.raises(UsageError, match="different driving functions"):
+        check_e2_signs(SolutionTriple(R, fz, fz, fz), SolutionTriple(R, fo, fz, fz), 1e-9)
+
+
 def test_e2_sign_check_is_exact_on_exact_triples():
     # u(0) = (1 + 2^-60, -1), u(1) = (1 + 2^-60, -1 + 2^-70): the product
     # (u1 + u2) du2 = (2^-60 + 2^-71) 2^-70 > 0 violates E2, and a float cast
