@@ -5,8 +5,9 @@ Machine-readable JSON goes to stdout, human summaries to stderr. Exit codes:
 2 usage or input errors: every package error (`errors.SkorokhodError`) and
 `OSError`.
 
-Each JSON document is encoded once, by `json.dumps(doc, sort_keys=True)`:
-`_emit` prints every stdout document, and `solve --out` writes the same
+Each JSON document is encoded once, by `json.dumps(doc, sort_keys=True,
+allow_nan=False)`: `_emit` prints every stdout document, refusing a value
+that is not finite as a usage error, and `solve --out` writes the same
 text without the final newline. `counterexample --out` writes the bundle,
 which is a different document from the one printed.
 
@@ -89,8 +90,12 @@ def _read_json(path: str):
 
 def _emit(doc: dict, out: str | None = None) -> None:
     """Encode the document once, write the text to out if given, then print
-    it. The newline is a second write: appending it would copy the text."""
-    text = json.dumps(doc, sort_keys=True)
+    it. The newline is a second write: appending it would copy the text. A
+    value that is not finite is a usage error, so stdout is strict JSON."""
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise UsageError("a reported value is beyond the double range") from None
     if out:
         Path(out).write_text(text)
     sys.stdout.write(text)
@@ -113,7 +118,7 @@ def _note(msg: str) -> None:
 
 
 def _cmd_classify(args) -> int:
-    R = _parse_matrix(f"{args.a1},{args.a2}", args.exact)
+    R = ReflectionMatrix2(_parse_number(args.a1, args.exact), _parse_number(args.a2, args.exact))
     c = classify(R)
     _emit(
         {

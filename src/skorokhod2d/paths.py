@@ -389,10 +389,12 @@ def stieltjes(g: PLPath2, m: PLPath2, j: int) -> Scalar:
 
 
 def trapezoid(g: PLPath2, m: PLPath2, j: int) -> Scalar:
-    """Trapezoid sum of g_j dm_j over the grid that g and m already share."""
+    """Trapezoid sum of g_j dm_j over the grid that g and m already share. A
+    float sum past the double range comes out inf or nan, with no warning."""
     gj = g.x[:, j]
-    terms = (gj[:-1] + gj[1:]) * np.diff(m.x[:, j]) / 2
-    return _py(np.sum(terms, initial=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (gj[:-1] + gj[1:]) * np.diff(m.x[:, j]) / 2
+        return _py(np.sum(terms, initial=0))
 
 
 def total_variation(p: PLPath2, j: int) -> Scalar:

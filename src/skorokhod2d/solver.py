@@ -137,8 +137,11 @@ def solve_fixed_point(
 
     Geometric convergence when sqrt(|a1*a2|) < 1; damping < 1 extends the
     practical reach near the critical case without any convergence claim.
-    The iteration stops at a sweep that moves m by less than cfg.tol, or
-    with converged False once the sweeps of all rounds reach cfg.max_iter.
+    A round stops at a sweep that moves m by less than cfg.tol. cfg.max_iter
+    bounds the sweeps of all rounds together: a solve that spends it, or
+    that converges on its last sweep with kinks still to insert, returns
+    converged False on the grid that its last sweep ran on, so `residual`
+    always describes the grid returned.
 
     Extrapolated sweeps: after each sweep with change d, the rate estimate
     r = <d, d_prev> / <d_prev, d_prev> is taken over both coordinates. When
@@ -222,11 +225,14 @@ def solve_fixed_point(
             if before is not None:  # out of sweeps right after a jump
                 m, diff = before
             break
-        if converged and sweeps == 1 and round_index > 1:
+        if sweeps == 1 and round_index > 1:
             break  # the march's m at the last kinks is already the fixed point
         times, mk = _kink_times(grid, fx, m, a1, a2, eps)
         kinks = _joining(grid, times)
         if not len(kinks):
+            break
+        if total_iters == cfg.max_iter:  # no sweep left for an enriched grid
+            converged = False
             break
         # the kept kinks are a subsequence of the ascending times, so each
         # takes the march's m at its own position; `_regrid` reads f
@@ -247,11 +253,12 @@ def _kink_times(grid, f, m, a1, a2, eps) -> tuple[np.ndarray, np.ndarray]:
     regulator rising: one batched march (`_march_rows`) over all of those
     segments, each from the sweeps' g and m at its start. f and m are the
     sweeps' (2, n) rows, and g is built row by row on them. The next round
-    starts from the march's m at the kinks it keeps."""
+    starts from the march's m at the kinks it keeps. A slope of f past the
+    double range on a segment to march is refused (`_slopes`)."""
     g = np.array([f[0] + (m[0] + a1 * m[1]), f[1] + (a2 * m[0] + m[1])])
     rising = (g[:, :-1] > eps) & (m[:, 1:] > m[:, :-1])
     k = np.flatnonzero(rising[0] | rising[1])
-    rates = _Rates(a1, a2, ((f[:, k + 1] - f[:, k]) / (grid[k + 1] - grid[k])).T)
+    rates = _Rates(a1, a2, _slopes((f[:, k + 1] - f[:, k]).T, grid[k + 1] - grid[k]))
     return _march_rows(rates, eps, np.maximum(g[:, k], 0.0).T, m[:, k].T, grid[k], grid[k + 1], k)
 
 
@@ -344,6 +351,17 @@ def lcp_step(
     return (max(g1, 0.0), max(g2, 0.0)), (z1, z2)
 
 
+def _slopes(dx: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """The (n, 2) slopes of f from its (n, 2) increments dx over segments of
+    lengths dt: the rates a march needs. A slope past the double range (a
+    segment too short for its increment) is refused."""
+    with np.errstate(over="ignore"):
+        slopes = dx / dt[:, None]
+    if not np.isfinite(slopes).all():
+        raise UsageError("a slope of the driving function is beyond the double range")
+    return slopes
+
+
 class _Rates(dict):
     """Active pattern -> (zw, bad): `_lcp2`'s table on the driving slopes of
     every segment with the pattern's coordinates pushable, built on first
@@ -386,11 +404,7 @@ def solve_grid(R: ReflectionMatrix2, f: PLPath2, cfg: SolveConfig) -> SolveResul
     if not is_completely_s(ReflectionMatrix2(a1, a2)):
         raise UsageError("grid solver requires a completely-S matrix")
     dt = np.diff(grid)
-    with np.errstate(over="ignore"):
-        slopes = np.diff(x, axis=0) / dt[:, None]
-    if not np.isfinite(slopes).all():
-        raise UsageError("a slope of the driving function is beyond the double range")
-    rates = _Rates(a1, a2, slopes)
+    rates = _Rates(a1, a2, _slopes(np.diff(x, axis=0), dt))
     ts = grid.tolist()  # Python floats index faster in the marching loop
     ends, n = ts[1:], len(ts) - 1
 
@@ -475,10 +489,10 @@ def _march(rates: _Rates, eps, ends, rows: list, k: int, hi: int) -> int:
     sub-step and returns the next segment: hi, or the one after RUN_GATE
     segments in a row that were each one sub-step under one active set.
 
-    Coordinates with g_j <= eps (eps = FLOAT_DEDUP * sup|f|, the
-    `negligible` rule; g >= 0, so no abs) are active and only they may push;
-    the rates are the row of the table for that active set, looked up at
-    the first sub-step after the set changes, and a sub-step ends at the
+    Coordinates with g_j <= eps (eps = FLOAT_DEDUP * sup|f| from
+    `_set_up`; g >= 0, so no abs) are active and only they may push; the
+    rates are the row of the table for that active set, looked up at the
+    first sub-step after the set changes, and a sub-step ends at the
     segment's end or at the first zero of a positive coordinate. m adds the
     sub-step's regulator increments in order. The comparisons stand for
     `min(a, b)`, which keeps a unless b < a, and `max(x, 0.0)`, which keeps

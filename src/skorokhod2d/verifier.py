@@ -99,10 +99,11 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
 
     integrals = [trapezoid(g, m, j) for j in (0, 1)]
 
-    # int g dm has units value^2: tol is weighed against m's total variation;
-    # an infinite tol stays infinite, also for exact paths and a constant m
+    # int g dm has units value^2: tol is weighed against m's total variation.
+    # An integral that overflowed (inf, or nan) fails unless tol is infinite,
+    # and an infinite tol stays infinite, also for exact paths and a constant m
     tv = total_variation(m, 0) + total_variation(m, 1)
-    budget = tol if tol == math.inf else tol * tv
+    comp_ok = tol == math.inf or all(abs(c) < math.inf and c <= tol * tv for c in integrals)
 
     strict_ok: Optional[bool] = None
     if strict:
@@ -116,7 +117,7 @@ def verify(triple: SolutionTriple, tol, strict: bool = False) -> VerificationRep
         and min_g >= -tol
         and m_start <= start_budget
         and monotone_violation >= -tol
-        and all(c <= budget for c in integrals)
+        and comp_ok
         and (strict_ok is None or strict_ok)
     )
     return VerificationReport(

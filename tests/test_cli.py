@@ -46,6 +46,13 @@ def test_classify_rejects_garbage():
     assert run(["classify", "--a1", "spam", "--a2", "1"]) == 2
 
 
+def test_classify_names_the_entry_it_cannot_read(capsys):
+    # the entries were joined and read as one --matrix, a flag classify lacks
+    assert run(["classify", "--a1", "1,2", "--a2", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "'1,2'" in err and "--matrix" not in err
+
+
 def test_solve_fixed_and_grid(tmp_path, capsys):
     fpath = write_driving_path(tmp_path)
     for method in ("fixed", "grid"):
@@ -541,3 +548,36 @@ def test_a_tail_bound_that_is_not_finite_and_nonnegative_exits_2(tmp_path, capsy
     tpath.write_text(json.dumps(dict(doc, tail_bound=0.5)))
     code, report = run_json(capsys, ["verify", "--triple", str(tpath)])
     assert code == 0 and report["pass"] is True and report["tail_bound"] == 0.5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 5e-324, 1.0], [(0.1, 1), (-1, 1), (-1, 1)]),
+    ([0.0, 0.9, 1.0], [(1e308, 1), (-7e307, 1), (-7e307, 1)]),
+], ids=["short-segment", "steep-segment"])
+def test_solve_refuses_a_slope_past_the_double_range(tmp_path, capsys, times, values):
+    # the fixed-point solve divided by the segment itself: a traceback under
+    # -W error, and a wrong converged answer without it
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"mode": "float", "times": times, "values": values}))
+    assert run(["solve", "--matrix=0.3,-0.4", "--f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a slope of the driving function is beyond the double range\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", ["1e299", "1e290"])
+def test_verify_refuses_an_integral_past_the_double_range(tmp_path, capsys, tol):
+    # int g1 dm1 is about 1e616: verify printed "pass": true with Infinity
+    # among its integrals and exited 0; now the verdict fails and its
+    # document, which holds inf, is a usage error with nothing on stdout
+    flt = lambda values: {"mode": "float", "times": [0, 1], "values": values}
+    doc = {"matrix": {"a1": 0.5, "a2": 0.5}, "f": flt([[1e308, 0], [0, -5e307]]),
+           "g": flt([[1e308, 0], [1e308, 0]]), "m": flt([[0, 0], [1e308, 0]])}
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", "--triple", str(path), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a reported value is beyond the double range\n"

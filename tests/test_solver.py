@@ -280,6 +280,24 @@ def test_grid_solver_refuses_a_slope_past_the_double_range(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("times, values", [
+    # f1 falls by 1.1 over a segment 5e-324 long
+    ([0.0, 5e-324, 1.0], [(0.1, 1), (-1, 1), (-1, 1)]),
+    # f1 falls by 1.7e308 over 0.9: a finite increment, a slope of -1.9e308
+    ([0.0, 0.9, 1.0], [(1e308, 1), (-7e307, 1), (-7e307, 1)]),
+], ids=["short-segment", "steep-segment"])
+@pytest.mark.parametrize("solve", [solve_fixed_point, solve_grid])
+def test_solvers_refuse_a_slope_past_the_double_range_that_a_march_needs(solve, times, values):
+    # m1 rises on the first segment, so the fixed-point solver's kink search
+    # marches it: its own division overflowed there, with numpy warnings, and
+    # on the steep segment it returned converged True with m1 rising over the
+    # whole segment although g1(0) = 1e308
+    f = float_path(times, values)
+    with pytest.raises(UsageError, match="a slope of the driving function is beyond the double range"):
+        solve(ReflectionMatrix2(0.3, -0.4), f, SolveConfig())
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("solve", [solve_fixed_point, solve_grid])
 def test_solvers_read_f_on_a_grid_past_its_product_range(solve):
     # f at 5e5 is 5e302, but (t - t0)(v1 - v0) = 5e5 * 1e303 overflows: f
@@ -450,6 +468,29 @@ def test_solvers_commute_with_pl_time_change(a1, a2, seed):
             assert np.max(np.abs(q.x - _sample(p, np.interp(q.t, s_phi, t_phi)))) <= bound
 
 
+@pytest.mark.parametrize("solve", [
+    pytest.param(solve_fixed_point, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: `_joining` merges a kink into a grid point within "
+        "2^-40 |t|, a radius that grows with the time origin"))),
+    solve_grid,
+])
+def test_solvers_certify_a_walk_shifted_in_time(solve):
+    # The problem is invariant under a shift of time. At t near 2^30 the
+    # merge radius 2^-40 |t| = 2^-10 is twice the grid's spacing, so the
+    # fixed-point solve keeps no kink (2,001 points against `solve_grid`'s
+    # 2,053), still reports converged, and leaves int g dm = 8.3e-4 and
+    # 2.8e-3, past the budget of 1e-4 sup|f|
+    rng = np.random.default_rng(1)
+    steps = rng.standard_normal((2000, 2)) * 2000**-0.5
+    x = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)]) + 0.1
+    f = float_path(np.linspace(0.0, 1.0, 2001) + 2**30, x)
+    sup = float(np.max(np.abs(f.x)))
+    R = ReflectionMatrix2(0.9, -0.9)
+    res = solve(R, f, SolveConfig(tol=1e-12 * sup))
+    assert res.converged
+    assert verify(SolutionTriple(R, f, res.g, res.m), 1e-4 * sup).passed
+
+
 def corner_walk(seed, n=200, amp=0.02, drift=5.0):
     # a small random walk pulled into the corner by 5t * (1, 1): both
     # regulators switch on and off at many points inside grid segments
@@ -611,6 +652,20 @@ def test_max_iter_bounds_the_sweeps_of_all_rounds_together(seed, monkeypatch):
     res = solve_fixed_point(R, f, SolveConfig(max_iter=full.iterations, damping=0.5))
     assert res.converged and res.iterations == full.iterations
     assert np.array_equal(res.m.x, full.m.x) and np.array_equal(res.g.x, full.g.x)
+
+
+def test_a_budget_spent_as_a_round_converges_returns_the_swept_grid():
+    # damping 0.5 at the critical (-1, 1): the first round converges on its
+    # 36th sweep and finds 1,966 kinks. With 36 sweeps in the budget, none is
+    # left for the enriched grid, so the solve ends on the grid its sweeps
+    # ran on, where residual was measured; it returned the 3,967-point grid
+    f = corner_walk(0, n=2000)
+    R = ReflectionMatrix2(-1.0, 1.0)
+    res = solve_fixed_point(R, f, SolveConfig(max_iter=36, damping=0.5))
+    assert (res.iterations, res.converged) == (36, False)
+    assert np.array_equal(res.g.t, f.t) and res.residual < 1e-9
+    res = solve_fixed_point(R, f, SolveConfig(max_iter=37, damping=0.5))
+    assert (res.iterations, res.converged, len(res.m)) == (37, True, 3967)
 
 
 @pytest.mark.parametrize("a", [0.9, 0.95, 0.99])

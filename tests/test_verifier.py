@@ -182,6 +182,28 @@ def test_infinite_tol_passes_every_triple():
     assert verify(SolutionTriple(ReflectionMatrix2(0.5, 0.5), f, f, still), float("inf")).passed
 
 
+def overflowing_integral_triple():
+    # g1 = 1e308 while m1 rises by 1e308: int g1 dm1 is about 1e616, past the
+    # double range, and so is the budget tol * TV(m) of any tol above 1.8
+    f = PLPath2((0.0, 1.0), ((1e308, 0.0), (0.0, -5e307)), FLOAT)
+    g = PLPath2((0.0, 1.0), ((1e308, 0.0), (1e308, 0.0)), FLOAT)
+    m = PLPath2((0.0, 1.0), ((0.0, 0.0), (1e308, 0.0)), FLOAT)
+    return SolutionTriple(ReflectionMatrix2(0.5, 0.5), f, g, m)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [1e299, 1e290])
+def test_an_integral_past_the_double_range_fails(tol):
+    # the trapezoid sum overflowed to inf with numpy warnings, and
+    # inf <= tol * TV(m) = inf passed
+    rep = verify(overflowing_integral_triple(), tol)
+    assert rep.comp_integrals == (math.inf, 0.0)
+    assert rep.eq_residual == 0 and rep.min_g == 0 and rep.monotone_violation == 0
+    assert not rep.passed
+    # an infinite tol still passes every triple
+    assert verify(overflowing_integral_triple(), math.inf).passed
+
+
 def test_compare_counterexample_solutions():
     b = build_counterexample(Dyadic(-2), depth=8)
     # tol weighs values only: an infinite one passes everything, exact paths included
