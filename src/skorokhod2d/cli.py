@@ -35,47 +35,28 @@ from .solver import SolveConfig, solve_fixed_point, solve_grid
 from .verifier import compare_solutions, verify
 
 
-def _fraction(text: str) -> Fraction:
+def _number(text: str | None, exact: bool = False):
+    """A flag's number: None if the flag is unset, the Dyadic it names when
+    exact, else the double it rounds to, refused past the double range."""
+    if text is None:
+        return None
     try:
-        return Fraction(text)
+        fr = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a number: {text!r} ({exc})") from None
-
-
-def _bounded(text: str) -> Fraction:
-    """The number, exactly, refused when it is past the double range: it is
-    used or reported as a double."""
-    fr = _fraction(text)
+    if exact:
+        return Dyadic.from_fraction(fr)
     try:
-        float(fr)
+        return float(fr)
     except OverflowError:
         raise UsageError(f"number beyond the double range: {text!r}") from None
-    return fr
-
-
-def _float_flag(text: str | None) -> float | None:
-    """A float flag's value, refused past the double range; None if unset."""
-    return None if text is None else float(_bounded(text))
-
-
-def _parse_number(text: str, exact: bool):
-    if exact:
-        return Dyadic.from_fraction(_fraction(text))
-    return float(_bounded(text))
 
 
 def _parse_matrix(text: str, exact: bool) -> ReflectionMatrix2:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("--matrix expects 'a1,a2'")
-    return ReflectionMatrix2(
-        _parse_number(parts[0], exact), _parse_number(parts[1], exact)
-    )
-
-
-def _parse_tol(text: str):
-    fr = _bounded(text)
-    return 0 if fr == 0 else float(fr)
+    return ReflectionMatrix2(_number(parts[0], exact), _number(parts[1], exact))
 
 
 def _read_json(path: str):
@@ -118,7 +99,7 @@ def _note(msg: str) -> None:
 
 
 def _cmd_classify(args) -> int:
-    R = ReflectionMatrix2(_parse_number(args.a1, args.exact), _parse_number(args.a2, args.exact))
+    R = ReflectionMatrix2(_number(args.a1, args.exact), _number(args.a2, args.exact))
     c = classify(R)
     _emit(
         {
@@ -136,7 +117,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve(args) -> int:
     R = _parse_matrix(args.matrix, exact=False)
-    flags = dict(tol=_float_flag(args.tol), max_iter=args.max_iter, damping=_float_flag(args.damping))
+    flags = dict(tol=_number(args.tol), max_iter=args.max_iter, damping=_number(args.damping))
     f = serialize.path_from_json(_read_json(args.f))
     if args.grid_steps < 0:
         raise UsageError("--grid-steps must be >= 0")
@@ -161,8 +142,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    min_time = _float_flag(args.min_time)
-    bundle = build_counterexample(_bounded(args.a1), args.depth)
+    min_time = _number(args.min_time)
+    bundle = build_counterexample(_number(args.a1), args.depth)
     doc = {
         "a1": float(bundle.R.a1),
         "depth": bundle.depth,
@@ -190,7 +171,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = _parse_tol(args.tol)
+    tol = _number(args.tol)
     triple = serialize.triple_from_json(_read_json(args.triple))
     if args.matrix:
         R = _parse_matrix(args.matrix, exact=triple.f.mode == "exact")
@@ -202,7 +183,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    tol = _parse_tol(args.tol)
+    tol = _number(args.tol)
     s1 = serialize.triple_from_json(_read_json(args.s1))
     s2 = serialize.triple_from_json(_read_json(args.s2))
     diag = compare_solutions(s1, s2, tol)
@@ -215,12 +196,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    coord_range, min_time = _float_flag(args.range), _float_flag(args.min_time)
+    coord_range, min_time = _number(args.range), _number(args.min_time)
     if coord_range is not None and not coord_range > 0:
         raise UsageError("--range must be positive")
     if args.size < 1:
         raise UsageError("--size must be >= 1")
-    bundle = build_counterexample(_bounded(args.a1), args.depth)
+    bundle = build_counterexample(_number(args.a1), args.depth)
     svg = emit_figure(bundle, size=args.size, coord_range=coord_range, min_time=min_time)
     Path(args.out).write_text(svg)
     _emit({"out": args.out, "breakpoints": len(bundle.u)})

@@ -36,7 +36,6 @@ from .paths import (
     jordan_decompose,
     matrix_apply,
     minus_part,
-    negate,
     negligible,
     path_min,
     path_sub,
@@ -72,31 +71,38 @@ class CounterexampleBundle:
 
 
 def _resolve_mode(a1, depth: int):
-    """Check the spiral's parameters; (mode, a1, rho = 1/|a1|), exact if rho is dyadic."""
+    """Check the spiral's parameters; (mode, a1, rho = 1/|a1|), exact if rho
+    is dyadic (a1 = -2^k), else float with a1 the double it rounds to. a1 < -1
+    is checked on the a1 returned, the one the spiral is built with."""
+    try:
+        a1 = to_dyadic(a1)
+    except ExactnessError:  # a Fraction that is not dyadic, or a float that is not finite
+        pass
+    mode = EXACT if isinstance(a1, Dyadic) and abs(a1.mantissa) == 1 else FLOAT
+    if mode == FLOAT:
+        try:
+            a1 = float(a1)
+        except OverflowError:
+            raise ConstructionError("float spiral with a1 beyond the double range") from None
     if not a1 < -1:
         raise ConstructionError("spiral requires a1 < -1 (it must expand)")
     if depth < 4 or depth % 4:
         raise ConstructionError("depth must be a positive multiple of 4")
-    try:
-        a1d = to_dyadic(a1)
-        rho = Dyadic(1) / abs(a1d)
-    except (ExactnessError, TypeError):
-        rho = 1.0 / abs(float(a1))
-        if not _fits_doubles(rho, depth):
-            deepest = 0
-            while _fits_doubles(rho, deepest + 4):  # ends by depth 1072, where 2^-1076 is 0
-                deepest += 4
-            raise ConstructionError(
-                f"float spiral with a1={float(a1)!r} does not fit in doubles at depth {depth}: "
-                + (f"the largest depth that works is {deepest}" if deepest else "no depth works"))
-        return FLOAT, float(a1), rho
-    # rho = 2^-k; its powers rho^0 .. rho^(depth + 2) are the widest array built
-    if (depth + 3) * (depth + 2) * -rho.exp2 > MAX_EXACT_BITS:
+    rho = Dyadic(1, -a1.exp2) if mode == EXACT else 1.0 / abs(a1)
+    if mode == FLOAT and not _fits_doubles(rho, depth):
+        deepest = 0
+        while _fits_doubles(rho, deepest + 4):  # ends by depth 1072, where 2^-1076 is 0
+            deepest += 4
         raise ConstructionError(
-            f"exact spiral too deep: depth {depth} with a1={float(a1)!r} needs an array of "
+            f"float spiral with a1={a1!r} does not fit in doubles at depth {depth}: "
+            + (f"the largest depth that works is {deepest}" if deepest else "no depth works"))
+    # rho = 2^-k; its powers rho^0 .. rho^(depth + 2) are the widest array built
+    if mode == EXACT and (depth + 3) * (depth + 2) * -rho.exp2 > MAX_EXACT_BITS:
+        raise ConstructionError(
+            f"exact spiral too deep: depth {depth} with a1=-2^{a1.exp2} needs an array of "
             f"{depth + 3} scalars on exponents 0 to {rho.exp2 * (depth + 2)}, over "
             f"MAX_EXACT_BITS = {MAX_EXACT_BITS} bits")
-    return EXACT, a1d, rho
+    return mode, a1, rho
 
 
 def _fits_doubles(rho: float, depth: int) -> bool:
@@ -166,12 +172,12 @@ def build_counterexample(a1, depth: int = 40) -> CounterexampleBundle:
     m = PLPath2(u.t, base.m.x + m_off, use_mode)
     mbar = PLPath2(u.t, base.mbar.x + mb_off, use_mode)
 
-    rm = matrix_apply(R.a1, R.a2, m)
-    rmbar = matrix_apply(R.a1, R.a2, mbar)
-    f = negate(path_min(rm, rmbar))
-    diff = path_sub(rm, rmbar)
-    g = plus_part(diff)
-    gbar = minus_part(diff)
+    # m - mbar = u, so R m - R mbar = R u: g and gbar are its parts, and
+    # f = g - R m = gbar - R mbar
+    ru = matrix_apply(R.a1, R.a2, u)
+    g = plus_part(ru)
+    gbar = minus_part(ru)
+    f = path_sub(g, matrix_apply(R.a1, R.a2, m))
 
     tail_bound = 4 * rho ** (depth // 2)
 

@@ -7,8 +7,9 @@ import pytest
 from skorokhod2d import cli, errors, serialize
 from skorokhod2d.classify import ReflectionMatrix2
 from skorokhod2d.cli import run
+from skorokhod2d.counterexample import build_counterexample
 from skorokhod2d.paths import FLOAT, PLPath2
-from skorokhod2d.verifier import SolutionTriple, verify
+from skorokhod2d.verifier import SolutionTriple, compare_solutions, verify
 
 
 def run_json(capsys, argv):
@@ -578,6 +579,58 @@ def test_verify_refuses_an_integral_past_the_double_range(tmp_path, capsys, tol)
     path = tmp_path / "triple.json"
     path.write_text(json.dumps(doc))
     assert run(["verify", "--triple", str(path), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a reported value is beyond the double range\n"
+
+
+def test_an_a1_that_rounds_to_minus_one_exits_2(tmp_path, capsys):
+    # --a1 is read as a double, -1.0: the critical case, where the solution
+    # is unique; counterexample printed a certified gap of (2, 0) and exited 0
+    svg = tmp_path / "x.svg"
+    for argv in (["counterexample", "--verify", "--figure", str(svg), "--out", str(tmp_path / "b.json")],
+                 ["figure", "--out", str(svg)]):
+        assert run([*argv, "--a1=-1.0000000000000000001", "--depth", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spiral requires a1 < -1 (it must expand)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a1_is_the_double_it_rounds_to(capsys):
+    # -2.0000000000000000001 is the double -2: the exact spiral, not a float one
+    outs = []
+    for a1 in ("-2.0000000000000000001", "-2"):
+        assert run(["counterexample", "--verify", f"--a1={a1}", "--depth", "8"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0].out)["mode"] == "exact"
+
+
+def test_compare_float_triples_prints_the_library_diagnostics(tmp_path, capsys):
+    b = build_counterexample(-1.5, 8)
+    s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
+    for path, triple in ((s1, b.triple()), (s2, b.triple_bar())):
+        path.write_text(json.dumps(serialize.triple_to_json(triple)))
+    assert run(["compare", "--s1", str(s1), "--s2", str(s2)]) == 0
+    diag = compare_solutions(b.triple(), b.triple_bar(), 0.0)
+    assert diag.u.mode == FLOAT
+    want = json.dumps(diag.to_json(), sort_keys=True, allow_nan=False) + "\n"
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_an_increment_of_m_past_the_double_range_exits_2(tmp_path, capsys):
+    # m1 = 0, 1.5e308, -1e308: verify raised numpy's overflow warning, a
+    # traceback and exit 1 under warnings as errors; now the verdict fails and
+    # its report, whose monotone_violation is -inf, is a usage error
+    flt = lambda values: {"mode": "float", "times": [0, 1, 2], "values": values}
+    doc = {"matrix": {"a1": 0.5, "a2": 0.5}, "f": flt([[0, 0]] * 3),
+           "g": flt([[0, 0], [1.5e308, 7.5e307], [-1e308, -5e307]]),
+           "m": flt([[0, 0], [1.5e308, 0], [-1e308, 0]])}
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", "--triple", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: a reported value is beyond the double range\n"

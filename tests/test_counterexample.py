@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from skorokhod2d.classify import Regime, classify_regime
@@ -12,7 +13,7 @@ from skorokhod2d.counterexample import (
 from skorokhod2d.dyadic import Dyadic
 from skorokhod2d.errors import ConstructionError, UsageError
 from skorokhod2d.figure import emit_figure
-from skorokhod2d.paths import EXACT, FLOAT, matrix_apply, path_min, stieltjes
+from skorokhod2d.paths import EXACT, FLOAT, matrix_apply, path_min, path_sub, stieltjes
 from skorokhod2d.verifier import verify
 
 
@@ -185,3 +186,42 @@ def test_emit_figure_refuses_what_it_cannot_draw(options, message):
     # width of 0 or -4
     with pytest.raises(UsageError, match=message):
         emit_figure(build_counterexample(Dyadic(-2), 8), **options)
+
+
+@pytest.mark.parametrize("a1", [Dyadic(-(2**60 + 1), -60), Fraction(-(2**60 + 1), 2**60)])
+def test_an_a1_that_rounds_to_minus_one_is_refused(a1):
+    # a1 < -1, but 1/|a1| is not dyadic, so the spiral is float and is built
+    # with the double a1 rounds to, -1.0: the critical case, where the
+    # solution is unique; the bundle certified a gap of (2, 0)
+    for build in (build_counterexample, build_u):
+        with pytest.raises(ConstructionError, match="spiral requires a1 < -1"):
+            build(a1, 8)
+    # the next double below -1 still expands, and builds
+    assert build_counterexample(Fraction(-(2**52 + 1), 2**52), 8).u.mode == FLOAT
+
+
+def test_too_deep_an_exact_spiral_past_the_double_range_is_refused():
+    # the message formatted a1 as a double: OverflowError, not ConstructionError
+    with pytest.raises(ConstructionError, match=r"exact spiral too deep: depth 400 with "
+                                                r"a1=-2\^2000 needs an array of 403 scalars"):
+        build_counterexample(Dyadic(-1, 2000), 400)
+
+
+@pytest.mark.parametrize("a1", [Dyadic(-3, 2000), Fraction(-(3**700))])
+def test_a_float_spiral_past_the_double_range_is_refused(a1):
+    with pytest.raises(ConstructionError, match="float spiral with a1 beyond the double range"):
+        build_counterexample(a1, 8)
+
+
+@pytest.mark.parametrize("a1", [-1.5, -2.5, -3.0, -1.1])
+@pytest.mark.parametrize("depth", [40, 400])
+def test_float_bundle_solutions_are_the_parts_of_r_u(a1, depth):
+    # g and gbar are the positive and negative parts of R u, so g - gbar is
+    # R u at every breakpoint and the gap at t = 1 is |a1| + 1 to the bit
+    b = build_counterexample(a1, depth)
+    assert b.u.mode == FLOAT
+    ru = matrix_apply(b.R.a1, b.R.a2, b.u)
+    diff = path_sub(b.g, b.gbar)
+    assert np.array_equal(np.array([diff.eval(t) for t in ru.times]), ru.x)
+    assert solution_gap(b) == (abs(a1) + 1, 0.0)
+    assert check_identities(b)

@@ -396,6 +396,17 @@ def test_refine_is_variadic_and_keeps_first_grid():
 
 
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_component_is_one_coordinate_as_a_tuple_of_python_scalars(mode):
+    scalar = float if mode == FLOAT else Dyadic
+    p = PLPath2((0, 0.5, 1), ((0, 1), (2, -3), (-2, 5)), mode)
+    for j in (0, 1):
+        col = p.component(j)
+        assert type(col) is tuple and all(type(x) is scalar for x in col)
+        assert col == tuple(v[j] for v in p.values)
+    assert p.component(0) == (0, 2, -2) and p.component(1) == (1, -3, 5)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
 def test_times_and_values_are_tuples_of_python_scalars(mode):
     # callers compare grids with == and copy values with list(); both need
     # plain tuples, never arrays

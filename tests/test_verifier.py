@@ -204,6 +204,26 @@ def test_an_integral_past_the_double_range_fails(tol):
     assert verify(overflowing_integral_triple(), math.inf).passed
 
 
+def overflowing_increment_triple():
+    # m1 = 0, 1.5e308, -1e308: its second increment, -2.5e308, is past the
+    # double range; g = f + R m holds, with f = 0
+    m = PLPath2((0.0, 1.0, 2.0), ((0.0, 0.0), (1.5e308, 0.0), (-1e308, 0.0)), FLOAT)
+    g = PLPath2(m.t, ((0.0, 0.0), (1.5e308, 7.5e307), (-1e308, -5e307)), FLOAT)
+    f = PLPath2(m.t, np.zeros((3, 2)), FLOAT)
+    return SolutionTriple(ReflectionMatrix2(0.5, 0.5), f, g, m)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("strict", [False, True])
+def test_an_increment_of_m_past_the_double_range_fails_without_a_warning(strict):
+    # the difference of m and its total variation warned "overflow
+    # encountered in subtract": an exception under warnings as errors
+    rep = verify(overflowing_increment_triple(), 0.0, strict=strict)
+    assert rep.monotone_violation == -math.inf
+    assert rep.eq_residual == 0 and rep.m_start == 0
+    assert not rep.passed
+
+
 def test_compare_counterexample_solutions():
     b = build_counterexample(Dyadic(-2), depth=8)
     # tol weighs values only: an infinite one passes everything, exact paths included
